@@ -2,7 +2,8 @@
 //!
 //! Exits non-zero with a message naming the first offending field if the
 //! document is missing a section, a number is absent or non-finite, or the
-//! batch table does not cover the 1/2/4/8 thread counts.
+//! batch table does not cover the 1/2/4/8 thread counts. The `load` row
+//! times the snapshot reader (`SnapshotView::read_from`).
 
 use mb_observe::json::Json;
 use std::process::ExitCode;
@@ -41,21 +42,13 @@ fn check(doc: &Json) -> Result<(), String> {
     field(doc, "workload")?.as_str().ok_or_else(|| "`workload` is not a string".to_string())?;
     positive_uint(doc, "entities")?;
     positive_uint(doc, "samples")?;
+    positive_uint(doc, "detected_cores")?;
     positive_uint(doc, "snapshot_bytes")?;
 
     finite(doc, "load.mean_ms")?;
     finite(doc, "load.min_ms")?;
     finite(doc, "load.mb_per_s")?;
     positive_uint(doc, "load.samples")?;
-
-    finite(doc, "load_zero_copy.mean_ms")?;
-    finite(doc, "load_zero_copy.min_ms")?;
-    finite(doc, "load_zero_copy.mb_per_s")?;
-    positive_uint(doc, "load_zero_copy.samples")?;
-    let speedup = finite(doc, "load_zero_copy.speedup_vs_owned")?;
-    if speedup <= 0.0 {
-        return Err(format!("load_zero_copy.speedup_vs_owned must be positive, got {speedup}"));
-    }
 
     let p50 = finite(doc, "single_query.p50_us")?;
     let p99 = finite(doc, "single_query.p99_us")?;

@@ -13,8 +13,8 @@ use mb_core::{
 use mb_observe::{Progress, RunReport, Tee};
 use mb_serve::{
     append_delta_run, CandidateRequest, CandidateResponse, Client, DeltaOp, GenerationCell,
-    OutOfCoreConfig, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader, SnapshotStore,
-    SnapshotView, APPEND,
+    OutOfCoreConfig, QueryEngine, Server, ServerConfig, Snapshot, SnapshotHeader, SnapshotView,
+    APPEND,
 };
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -349,15 +349,15 @@ fn snapshot_inspect(args: &Args) -> Result<String, String> {
     if !args.flag("full") {
         return Ok(out);
     }
-    let snapshot = Snapshot::read_from(Path::new(path), &mut Noop)
+    let snapshot = SnapshotView::read_from(Path::new(path), &mut Noop)
         .map_err(|e| format!("loading {path}: {e}"))?;
     let _ = writeln!(out, "kind:               {:?} ER", snapshot.kind());
     let _ = writeln!(out, "entities:           {}", snapshot.num_entities());
     let _ = writeln!(out, "split:              {}", snapshot.split());
-    let _ = writeln!(out, "blocks:             {}", snapshot.blocks().size());
+    let _ = writeln!(out, "blocks:             {}", snapshot.num_blocks());
     let _ = writeln!(out, "comparisons ||B||:  {}", snapshot.total_comparisons());
     let _ = writeln!(out, "assignments:        {}", snapshot.total_assignments());
-    let _ = writeln!(out, "tokens:             {}", snapshot.tokens().len());
+    let _ = writeln!(out, "tokens:             {}", snapshot.num_tokens());
     let _ = writeln!(out, "CNP threshold k:    {}", snapshot.cnp_threshold());
     let _ = writeln!(out, "CEP threshold K:    {}", snapshot.cep_threshold());
     if !snapshot.delta_runs().is_empty() {
@@ -393,8 +393,8 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
                 None => {
                     // Resolve the append sentinel offline: replay the
                     // persisted runs to find the effective collection size.
-                    let base =
-                        Snapshot::from_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))?;
+                    let base = SnapshotView::from_bytes(bytes.clone())
+                        .map_err(|e| format!("loading {path}: {e}"))?;
                     let mut next = base.num_entities() as u32;
                     for run in base.delta_runs() {
                         for op in run {
@@ -413,7 +413,7 @@ fn snapshot_apply(args: &Args) -> Result<String, String> {
     let out = args.get("out").unwrap_or(path);
     let patched = append_delta_run(&bytes, std::slice::from_ref(&op))
         .map_err(|e| format!("applying to {path}: {e}"))?;
-    let runs = Snapshot::from_bytes(&patched)
+    let runs = SnapshotView::from_bytes(patched.clone())
         .map_err(|e| format!("verifying {out}: {e}"))?
         .delta_runs()
         .len();
@@ -486,69 +486,30 @@ fn render_candidates(out: &mut String, subject: &str, response: &CandidateRespon
 /// `er query`: load a snapshot and answer one candidate query — for an
 /// indexed entity (`--entity`) or an unseen probe profile (`--text`).
 ///
-/// `--zero-copy` loads through [`SnapshotView`] (alignment-checked borrows
-/// instead of a deep decode); `--shards N` fans entity queries over N
-/// entity-range shards on `--shard-threads` workers. Answers are
-/// bit-identical across all of these.
+/// The snapshot is published as a serving generation, so write-ahead delta
+/// runs staged by `er snapshot apply` are replayed and the answer reflects
+/// every persisted op, exactly as `er serve` would give it.
 pub fn query(args: &Args) -> Result<String, String> {
     check_options(
         args,
-        &[
-            "snapshot",
-            "entity",
-            "text",
-            "side",
-            "top",
-            "retention",
-            "scheme",
-            "report",
-            "zero-copy",
-            "shards",
-            "shard-threads",
-        ],
+        &["snapshot", "entity", "text", "side", "top", "retention", "scheme", "report"],
     )?;
     let path = args.require("snapshot")?;
-    let shards: usize = args.get_parsed("shards", 1)?;
-    let shard_threads: usize = args.get_parsed("shard-threads", 1)?;
     let report_path = args.get("report");
     let mut report = RunReport::new("er-query");
     let mut noop = Noop;
     let obs: &mut dyn Observer = if report_path.is_some() { &mut report } else { &mut noop };
     let (request, subject) = candidate_request(args)?;
 
-    // Both storage flavors drive the same engine; only the load differs.
-    // A snapshot carrying write-ahead delta runs (`er snapshot apply`) is
-    // replayed into a generation so the answers reflect every persisted op.
-    let store: SnapshotStore = if args.flag("zero-copy") {
-        SnapshotView::read_from(Path::new(path), obs)
-            .map_err(|e| format!("loading {path}: {e}"))?
-            .into()
-    } else {
-        Snapshot::read_from(Path::new(path), obs)
-            .map_err(|e| format!("loading {path}: {e}"))?
-            .into()
-    };
+    let view = SnapshotView::read_from(Path::new(path), obs)
+        .map_err(|e| format!("loading {path}: {e}"))?;
     let scheme: WeightingScheme = match args.get("scheme") {
         Some(s) => s.parse()?,
-        None => store.config().weighting,
+        None => view.config().weighting,
     };
-    let plain;
-    let cell;
-    let generation;
-    let mut engine = if store.delta_runs().is_empty() {
-        plain = store;
-        match &plain {
-            SnapshotStore::Owned(s) => QueryEngine::with_scheme(s, scheme),
-            SnapshotStore::Mapped(v) => QueryEngine::view_with_scheme(v, scheme),
-        }
-    } else {
-        cell = GenerationCell::new(store).map_err(|e| format!("loading {path}: {e}"))?;
-        generation = cell.load();
-        QueryEngine::generation_with_scheme(&generation, scheme)
-    };
-    if shards > 1 {
-        engine = engine.with_shards(shards, shard_threads.max(1));
-    }
+    let cell = GenerationCell::new(view).map_err(|e| format!("loading {path}: {e}"))?;
+    let generation = cell.load();
+    let mut engine = QueryEngine::from_generation(&generation).with_scheme(scheme);
     let (kind, entities) = (engine.kind(), engine.num_entities());
     let response = engine.execute(&request, obs).map_err(|e| e.to_string())?;
     if let Some(p) = report_path {
@@ -567,22 +528,8 @@ pub fn query(args: &Args) -> Result<String, String> {
 /// `--port-file` (for supervisors that asked for an ephemeral port) and
 /// polls `--trigger` for file-based reloads.
 pub fn serve(args: &Args) -> Result<String, String> {
-    check_options(
-        args,
-        &[
-            "snapshot",
-            "addr",
-            "port-file",
-            "trigger",
-            "report",
-            "report-every",
-            "shards",
-            "shard-threads",
-        ],
-    )?;
+    check_options(args, &["snapshot", "addr", "port-file", "trigger", "report", "report-every"])?;
     let path = args.require("snapshot")?;
-    // The initial load takes the same zero-copy path as reloads: one
-    // validation pass, sections borrowed from the loaded buffer.
     let snapshot = SnapshotView::read_from(Path::new(path), &mut Noop)
         .map_err(|e| format!("loading {path}: {e}"))?;
     let config = ServerConfig {
@@ -590,8 +537,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         trigger_path: args.get("trigger").map(PathBuf::from),
         report_path: args.get("report").map(PathBuf::from),
         report_every: args.get_parsed("report-every", 100u64)?,
-        shards: args.get_parsed("shards", 1)?,
-        shard_threads: args.get_parsed("shard-threads", 1)?,
         ..ServerConfig::default()
     };
     let handle = Server::start(snapshot, config).map_err(|e| e.to_string())?;
@@ -913,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_core_build_and_zero_copy_query_match_the_defaults() {
+    fn out_of_core_build_matches_the_in_memory_build() {
         let dir = temp_dir("ooc");
         let dir_s = dir.to_str().unwrap();
         generate(&argv(&["generate", "--preset", "tiny", "--out", dir_s, "--scale", "0.5"]))
@@ -954,39 +899,6 @@ mod tests {
             std::fs::read(&ooc).unwrap(),
             "out-of-core snapshot bytes diverged from the in-memory build"
         );
-
-        // Zero-copy and sharded query answers match the owned default.
-        let snap_s = in_mem.to_str().unwrap();
-        let base =
-            query(&argv(&["query", "--snapshot", snap_s, "--entity", "3", "--top", "5"])).unwrap();
-        let zc = query(&argv(&[
-            "query",
-            "--snapshot",
-            snap_s,
-            "--entity",
-            "3",
-            "--top",
-            "5",
-            "--zero-copy",
-        ]))
-        .unwrap();
-        assert_eq!(base, zc, "zero-copy answer diverged");
-        let sharded = query(&argv(&[
-            "query",
-            "--snapshot",
-            snap_s,
-            "--entity",
-            "3",
-            "--top",
-            "5",
-            "--zero-copy",
-            "--shards",
-            "4",
-            "--shard-threads",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(base, sharded, "sharded answer diverged");
 
         // Spill knobs without --out-of-core are a usage error.
         let err = snapshot(&argv(&[
@@ -1121,15 +1033,7 @@ mod tests {
         let port_file_s = port_file.to_str().unwrap().to_owned();
         let serve_snap = snap_s.clone();
         let server = std::thread::spawn(move || {
-            serve(&argv(&[
-                "serve",
-                "--snapshot",
-                &serve_snap,
-                "--port-file",
-                &port_file_s,
-                "--shards",
-                "2",
-            ]))
+            serve(&argv(&["serve", "--snapshot", &serve_snap, "--port-file", &port_file_s]))
         });
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while !port_file.exists() {
@@ -1201,7 +1105,7 @@ mod tests {
             snapshot(&argv(&["snapshot", "inspect", "--snapshot", snap_s, "--full"])).unwrap();
         assert!(full.contains("delta runs:         2 (2 ops)"), "{full}");
 
-        // Both load paths replay the runs: the appended entity is queryable,
+        // The loader replays the runs: the appended entity is queryable,
         // the tombstoned one answers empty.
         let q = query(&argv(&[
             "query",
@@ -1214,18 +1118,6 @@ mod tests {
         ]))
         .unwrap();
         assert!(q.contains(&format!("entity {base_entities}")), "{q}");
-        let zc = query(&argv(&[
-            "query",
-            "--snapshot",
-            snap_s,
-            "--entity",
-            &base_entities.to_string(),
-            "--top",
-            "5",
-            "--zero-copy",
-        ]))
-        .unwrap();
-        assert_eq!(q, zc, "zero-copy delta replay diverged");
         let gone = query(&argv(&["query", "--snapshot", snap_s, "--entity", "0"])).unwrap();
         assert!(gone.contains("candidates: 0"), "tombstoned entity still answers: {gone}");
 

@@ -33,7 +33,8 @@ USAGE:
   er sweep-filter --dataset <dir> [--step F]
   er snapshot build --dataset <dir> --out <file> [--scheme S] [--pruning P]
          [--filter R] [--threads N]
-  er snapshot inspect --snapshot <file>
+         [--out-of-core [--spill-budget-mb N] [--spill-dir <dir>]]
+  er snapshot inspect --snapshot <file> [--full]
   er snapshot apply --snapshot <file> [--out <file>]
          (--delete N | --text \"...\" [--uri U] [--entity N])
   er query --snapshot <file> (--entity N | --text \"...\" [--side 1|2])
@@ -48,6 +49,7 @@ USAGE:
   er client compact --addr <host:port> --dataset <dir> [--out <file>]
   er client reload --addr <host:port> --snapshot <path>
   er client shutdown --addr <host:port>
+  er <command> --help
 
 `--threads N` runs the pruning sweeps on N workers (default 1; 0 =
 auto-detect the available parallelism); output is bit-identical to the
@@ -78,9 +80,13 @@ load.
 ";
 
 /// Dispatches a command line (without the program name). Returns the text
-/// to print, or an error message for stderr.
+/// to print, or an error message for stderr. `--help` on any verb, or on
+/// none, returns the usage text.
 pub fn dispatch(raw: impl IntoIterator<Item = String>) -> Result<String, String> {
     let args = Args::parse(raw)?;
+    if args.get("help").is_some() {
+        return Ok(USAGE.to_string());
+    }
     match args.positional(0) {
         Some("generate") => commands::generate(&args),
         Some("stats") => commands::stats(&args),

@@ -412,7 +412,7 @@ impl MetaBlocking {
         // Building the graph context (entity index) and the weigher's
         // per-scheme statistics is the fixed cost of every graph-based
         // scheme; it reports as the first EdgeWeighting record. The index
-        // build itself is sharded across the workers.
+        // build itself is split across the workers.
         let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
         let ctx = if threads > 1 {
             GraphContext::new_parallel(input, split, threads)

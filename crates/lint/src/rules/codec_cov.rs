@@ -14,7 +14,10 @@
 //!   or the function end); `.u8()`/`.u32()`/`.u64()`/`.bytes()` are
 //!   primitives and `.u32_vec()` is `seq(u32)`. Segments with no
 //!   `SECTION_*` key (the outer frame reader) are framing, not section
-//!   payload, and are skipped.
+//!   payload, and are skipped. The snapshot reader's in-place section
+//!   decoders are one-op segments of their own: `u32_section(…SECTION_X…)`
+//!   reads `seq(u32)` and `bytes_section(…SECTION_X…)` reads `bytes`; both
+//!   reject trailing bytes, so they count as finished.
 //! * **Loop compression** — ops inside a `for`/`while` body form a repeated
 //!   group; a bare `u32` immediately before a repeated group is its count
 //!   prefix, and the pair compresses to `seq(group)`. This is exactly the
@@ -86,7 +89,7 @@ pub(crate) fn run(files: &[FileModel<'_>], findings: &mut Vec<Finding>) {
             None => report(
                 *fi,
                 enc.line,
-                format!("section {key} is encoded but has no Reader-keyed decode segment"),
+                format!("section {key} is encoded but has no keyed decode segment"),
             ),
             Some((dfi, dec)) => {
                 if enc.ops != dec.ops {
@@ -186,7 +189,8 @@ fn collect_encode(file: &FileModel<'_>, fi: usize, out: &mut BTreeMap<String, (u
     }
 }
 
-/// Decode ops from `Reader::new(…SECTION_X…)`-keyed segments.
+/// Decode ops from `Reader::new(…SECTION_X…)`-keyed segments and from
+/// `u32_section`/`bytes_section` calls keyed the same way.
 fn collect_decode(file: &FileModel<'_>, fi: usize, out: &mut BTreeMap<String, (usize, Side)>) {
     let src = file.src;
     let m = file.model;
@@ -247,6 +251,26 @@ fn collect_decode(file: &FileModel<'_>, fi: usize, out: &mut BTreeMap<String, (u
                 }
             }
             out.insert(key.clone(), (fi, Side { ops: compress(raw), line: *line, finished }));
+        }
+        for k in open..=close {
+            let op = match toks[k].text(src) {
+                "u32_section" => Node::Seq(vec!["u32"]),
+                "bytes_section" => Node::Prim("bytes"),
+                _ => continue,
+            };
+            if toks[k].kind != TokenKind::Ident || !toks.get(k + 1).is_some_and(|t| t.is_punct('('))
+            {
+                continue;
+            }
+            let args_end = match_paren(toks, k + 1, close);
+            let key = toks[k + 1..=args_end].iter().find_map(|t| {
+                (t.kind == TokenKind::Ident && t.text(src).starts_with("SECTION_"))
+                    .then(|| t.text(src).to_string())
+            });
+            if let Some(key) = key {
+                let side = Side { ops: vec![op], line: toks[k].line, finished: true };
+                out.insert(key, (fi, side));
+            }
         }
     }
 }

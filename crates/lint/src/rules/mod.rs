@@ -134,7 +134,8 @@ pub const RULES: [RuleInfo; 10] = [
         severity: "error",
         summary: "every snapshot field written by encode_* has a matching checked decode",
         explain: "Snapshot section encoders (put_u8/u32/u64/bytes/u32_slice, keyed by \
-                  SECTION_* constants) and their Reader-based decoders are extracted as \
+                  SECTION_* constants) and their Reader-based or in-place \
+                  (u32_section/bytes_section) decoders are extracted as \
                   primitive op-sequences (loops compress to length-prefixed sequences) \
                   and compared per section: a field written without a matching \
                   bounds-checked read — or decoded at a different width, or a decode \

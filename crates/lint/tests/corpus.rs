@@ -156,9 +156,11 @@ fn codec_coverage_reports_every_drift_shape() {
     let unfinished = note(|n| n.contains("SECTION_LOG")).expect("never-finish finding");
     assert!(unfinished.contains("never calls finish()"), "{unfinished}");
     let orphan = note(|n| n.contains("SECTION_ORPHAN")).expect("orphan finding");
-    assert!(orphan.contains("encoded but has no Reader-keyed decode segment"), "{orphan}");
+    assert!(orphan.contains("encoded but has no keyed decode segment"), "{orphan}");
     let ghost = note(|n| n.contains("SECTION_GHOST")).expect("ghost finding");
     assert!(ghost.contains("decoded but never encoded"), "{ghost}");
+    let narrow = note(|n| n.contains("SECTION_WIDE")).expect("view-style width finding");
+    assert!(narrow.contains("decode reads [bytes] but encode writes [seq(u32)]"), "{narrow}");
 }
 
 #[test]

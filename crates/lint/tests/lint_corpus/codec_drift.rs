@@ -8,11 +8,14 @@
 //!   would go unnoticed;
 //! * `SECTION_ORPHAN` — encoded but never decoded (flagged at the first
 //!   encode op);
-//! * `SECTION_GHOST` — decoded but never encoded.
+//! * `SECTION_GHOST` — decoded but never encoded;
+//! * `SECTION_WIDE` — a view-style in-place decode (`bytes_section`) reads
+//!   a byte string where encode writes a `u32` vector.
 //!
-//! `SECTION_PAIRS` (count-prefixed loop) and `SECTION_IDS`
-//! (`put_u32_slice`/`u32_vec`) are the drift-free twins exercising loop
-//! compression and slice ops.
+//! `SECTION_PAIRS` (count-prefixed loop), `SECTION_IDS`
+//! (`put_u32_slice`/`u32_vec`) and `SECTION_VIEWED` (`put_u32_slice`/
+//! `u32_section`) are the drift-free twins exercising loop compression,
+//! slice ops and view-style decodes.
 
 const SECTION_STATS: u8 = 1;
 const SECTION_LOG: u8 = 2;
@@ -20,6 +23,8 @@ const SECTION_PAIRS: u8 = 3;
 const SECTION_IDS: u8 = 4;
 const SECTION_ORPHAN: u8 = 5;
 const SECTION_GHOST: u8 = 6;
+const SECTION_WIDE: u8 = 7;
+const SECTION_VIEWED: u8 = 8;
 
 fn encode_snapshot(out: &mut Vec<u8>, kind: u8, pairs: &[(u32, u32)], ids: &[u32]) {
     match kind {
@@ -44,6 +49,12 @@ fn encode_snapshot(out: &mut Vec<u8>, kind: u8, pairs: &[(u32, u32)], ids: &[u32
         }
         SECTION_ORPHAN => {
             put_u8(out, 0); //~ codec-coverage
+        }
+        SECTION_WIDE => {
+            put_u32_slice(out, ids);
+        }
+        SECTION_VIEWED => {
+            put_u32_slice(out, ids);
         }
         _ => {}
     }
@@ -89,4 +100,10 @@ fn decode_ghost(buf: &[u8]) -> Result<(), String> {
     r.u8()?;
     r.finish()?;
     Ok(())
+}
+
+fn view_sections(buf: &[u8]) -> Result<(U32Range, ByteRange), String> {
+    let ids = u32_section(buf, entry(SECTION_VIEWED))?;
+    let wide = bytes_section(buf, entry(SECTION_WIDE))?; //~ codec-coverage
+    Ok((ids, wide))
 }

@@ -24,9 +24,55 @@
 use std::alloc::{GlobalAlloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-static CURRENT: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Live-byte, high-water and allocation-event counters.
+///
+/// The installed [`TrackingAllocator`] updates the one process-wide
+/// instance behind [`current_bytes`], [`peak_bytes`], [`rebase_peak`] and
+/// [`alloc_count`]; tests exercise the bookkeeping on instances of their
+/// own, so no other test in the binary can move their numbers.
+struct Counters {
+    current: AtomicU64,
+    peak: AtomicU64,
+    allocs: AtomicU64,
+}
+
+impl Counters {
+    const fn new() -> Counters {
+        Counters { current: AtomicU64::new(0), peak: AtomicU64::new(0), allocs: AtomicU64::new(0) }
+    }
+
+    fn on_alloc(&self, bytes: usize) {
+        let now = self.current.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+        self.peak.fetch_max(now, Relaxed);
+        self.allocs.fetch_add(1, Relaxed);
+    }
+
+    fn on_dealloc(&self, bytes: usize) {
+        // Saturating: a dealloc of memory allocated before the tracker saw
+        // it (e.g. pre-main) must not wrap the counter.
+        let _ =
+            self.current.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(bytes as u64)));
+    }
+
+    fn current(&self) -> u64 {
+        self.current.load(Relaxed)
+    }
+
+    fn peak(&self) -> u64 {
+        self.peak.load(Relaxed)
+    }
+
+    fn rebase_peak(&self) {
+        self.peak.store(self.current(), Relaxed);
+    }
+
+    fn alloc_count(&self) -> u64 {
+        self.allocs.load(Relaxed)
+    }
+}
+
+/// The counters every [`TrackingAllocator`] updates.
+static GLOBAL: Counters = Counters::new();
 
 /// A [`GlobalAlloc`] wrapper that maintains live-byte and peak counters.
 pub struct TrackingAllocator<A> {
@@ -40,38 +86,26 @@ impl<A> TrackingAllocator<A> {
     }
 }
 
-fn on_alloc(bytes: usize) {
-    let now = CURRENT.fetch_add(bytes as u64, Relaxed) + bytes as u64;
-    PEAK.fetch_max(now, Relaxed);
-    ALLOCS.fetch_add(1, Relaxed);
-}
-
-fn on_dealloc(bytes: usize) {
-    // Saturating: a dealloc of memory allocated before the tracker saw it
-    // (e.g. pre-main) must not wrap the counter.
-    let _ = CURRENT.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(bytes as u64)));
-}
-
 // SAFETY: every method delegates to the wrapped allocator with the exact
 // arguments it received; the counter updates touch no allocator state.
 unsafe impl<A: GlobalAlloc> GlobalAlloc for TrackingAllocator<A> {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { self.inner.alloc(layout) };
         if !ptr.is_null() {
-            on_alloc(layout.size());
+            GLOBAL.on_alloc(layout.size());
         }
         ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { self.inner.dealloc(ptr, layout) };
-        on_dealloc(layout.size());
+        GLOBAL.on_dealloc(layout.size());
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { self.inner.alloc_zeroed(layout) };
         if !ptr.is_null() {
-            on_alloc(layout.size());
+            GLOBAL.on_alloc(layout.size());
         }
         ptr
     }
@@ -79,8 +113,8 @@ unsafe impl<A: GlobalAlloc> GlobalAlloc for TrackingAllocator<A> {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = unsafe { self.inner.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
-            on_dealloc(layout.size());
-            on_alloc(new_size);
+            GLOBAL.on_dealloc(layout.size());
+            GLOBAL.on_alloc(new_size);
         }
         new_ptr
     }
@@ -89,25 +123,25 @@ unsafe impl<A: GlobalAlloc> GlobalAlloc for TrackingAllocator<A> {
 /// Bytes currently live, as seen by the tracker (zero when no
 /// [`TrackingAllocator`] is installed).
 pub fn current_bytes() -> u64 {
-    CURRENT.load(Relaxed)
+    GLOBAL.current()
 }
 
 /// The high-water mark since the last [`rebase_peak`].
 pub fn peak_bytes() -> u64 {
-    PEAK.load(Relaxed)
+    GLOBAL.peak()
 }
 
 /// Resets the high-water mark to the current live total, so the next
 /// [`peak_bytes`] reading reflects only growth after this point.
 pub fn rebase_peak() {
-    PEAK.store(CURRENT.load(Relaxed), Relaxed);
+    GLOBAL.rebase_peak();
 }
 
 /// Number of allocation events (alloc, alloc_zeroed, and the alloc half of
 /// realloc) since process start. Monotonic; read it before and after a
 /// region and subtract to count the region's allocations.
 pub fn alloc_count() -> u64 {
-    ALLOCS.load(Relaxed)
+    GLOBAL.alloc_count()
 }
 
 #[cfg(test)]
@@ -116,44 +150,42 @@ mod tests {
 
     // No #[global_allocator] here — installing one inside a unit test
     // would affect the whole test binary. Instead the bookkeeping is
-    // exercised directly; the GlobalAlloc impl is a thin shim over it.
+    // exercised directly, each test on counters of its own; the GlobalAlloc
+    // impl is a thin shim over the same methods.
 
-    // One test, not several: the counters are process-global statics, and
-    // parallel StageScope tests call rebase_peak() concurrently — so CURRENT
-    // arithmetic is asserted exactly (nothing else mutates it in this
-    // binary) while PEAK is only held to its interleaving-proof invariant,
-    // peak ≥ current.
     #[test]
     fn bookkeeping_tracks_peak_rebases_and_saturates() {
-        let base_current = current_bytes();
-        on_alloc(1000);
-        on_alloc(500);
-        assert_eq!(current_bytes(), base_current + 1500);
-        assert!(peak_bytes() >= current_bytes());
-        on_dealloc(1200);
-        assert_eq!(current_bytes(), base_current + 300);
-        assert!(peak_bytes() >= current_bytes());
-        rebase_peak();
-        assert!(peak_bytes() >= current_bytes());
-        on_dealloc(300);
-        assert_eq!(current_bytes(), base_current);
+        let c = Counters::new();
+        let base_current = c.current();
+        c.on_alloc(1000);
+        c.on_alloc(500);
+        assert_eq!(c.current(), base_current + 1500);
+        assert!(c.peak() >= c.current());
+        c.on_dealloc(1200);
+        assert_eq!(c.current(), base_current + 300);
+        assert!(c.peak() >= c.current());
+        c.rebase_peak();
+        assert!(c.peak() >= c.current());
+        c.on_dealloc(300);
+        assert_eq!(c.current(), base_current);
 
         // Over-freeing (memory allocated before the tracker was watching)
         // saturates at zero instead of wrapping.
-        let live = current_bytes();
-        on_dealloc(live as usize + 4096);
-        assert_eq!(current_bytes(), 0);
-        rebase_peak();
+        let live = c.current();
+        c.on_dealloc(live as usize + 4096);
+        assert_eq!(c.current(), 0);
+        c.rebase_peak();
     }
 
     #[test]
     fn alloc_count_is_monotonic() {
-        let before = alloc_count();
-        on_alloc(8);
-        on_alloc(8);
-        let after = alloc_count();
+        let c = Counters::new();
+        let before = c.alloc_count();
+        c.on_alloc(8);
+        c.on_alloc(8);
+        let after = c.alloc_count();
         assert!(after >= before + 2);
-        on_dealloc(16);
-        assert!(alloc_count() >= after); // deallocs never decrease it
+        c.on_dealloc(16);
+        assert!(c.alloc_count() >= after); // deallocs never decrease it
     }
 }

@@ -152,18 +152,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    /// Reads a `u32`-length-prefixed vector of `u32` values.
-    pub(crate) fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let len = self.u32()? as usize;
-        // Verify against the remaining payload before allocating.
-        self.need(len.saturating_mul(4))?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
-
     /// Reads a `u32`-length-prefixed byte string.
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let len = self.u32()? as usize;
@@ -206,7 +194,8 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.u32_vec().unwrap(), vec![1, u32::MAX, 0]);
+        assert_eq!(r.u32().unwrap(), 3);
+        assert_eq!([r.u32().unwrap(), r.u32().unwrap(), r.u32().unwrap()], [1, u32::MAX, 0]);
         assert_eq!(r.bytes().unwrap(), b"tok");
         r.finish().unwrap();
     }
@@ -218,14 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn huge_length_prefix_fails_before_allocating() {
-        // A vector claiming u32::MAX entries with 4 bytes of payload must
-        // error out, not reserve 16 GiB.
+    fn huge_length_prefix_fails_before_reading() {
+        // A byte string claiming u32::MAX bytes with 4 bytes of payload
+        // must error out, not read past the buffer.
         let mut buf = Vec::new();
         put_u32(&mut buf, u32::MAX);
         put_u32(&mut buf, 42);
         let mut r = Reader::new(&buf, "huge");
-        assert!(matches!(r.u32_vec(), Err(SnapshotError::Truncated { .. })));
+        assert!(matches!(r.bytes(), Err(SnapshotError::Truncated { .. })));
     }
 
     #[test]

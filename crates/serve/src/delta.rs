@@ -10,7 +10,7 @@
 //! the patched blocks, so candidate generation skips them without the base
 //! member pool ever being rewritten). Everything the scoring core reads
 //! goes through [`mb_core::CandidateStore`], so the overlay plugs in at the
-//! same seam the two storage flavors already share.
+//! same seam the snapshot view's arrays come through.
 //!
 //! # Semantics and the recall gap
 //!
@@ -45,7 +45,7 @@ use crate::generation::Warm;
 use crate::snapshot::{
     frame_sections, parse_table, section_slice, verify_checksums, SECTION_DELTA,
 };
-use crate::store::SnapshotStore;
+use crate::view::SnapshotView;
 use er_model::fxhash::{FxHashMap, FxHashSet};
 use er_model::tokenize::{raw_tokens, KeyScratch};
 use er_model::{EntityCollection, EntityId, EntityProfile, ErKind, U32s};
@@ -175,8 +175,8 @@ pub(crate) fn decode_delta_run(payload: &[u8]) -> Result<Vec<DeltaOp>, SnapshotE
 /// `base_entities` profiles: upserts stay dense (append at the current
 /// size, never beyond), deletes name live, not-yet-tombstoned entities.
 ///
-/// Pure id arithmetic — no token or block state — so both loaders run it
-/// at load time and the overlay replay can't fail later on ids.
+/// Pure id arithmetic — no token or block state — so the loader runs it at
+/// load time and the overlay replay can't fail later on ids.
 pub(crate) fn validate_delta_runs(
     base_entities: usize,
     runs: &[Vec<DeltaOp>],
@@ -328,19 +328,15 @@ pub struct DeltaOverlay {
 }
 
 impl DeltaOverlay {
-    /// An empty overlay over `store`.
-    pub(crate) fn new(store: &SnapshotStore) -> DeltaOverlay {
-        let (split, num_entities) = match store {
-            SnapshotStore::Owned(s) => (s.split(), s.num_entities()),
-            SnapshotStore::Mapped(v) => (v.split(), v.num_entities()),
-        };
+    /// An empty overlay over `view`.
+    pub(crate) fn new(view: &SnapshotView) -> DeltaOverlay {
         DeltaOverlay {
-            kind: store.kind(),
-            base_entities: num_entities,
-            base_blocks: store.num_blocks(),
-            base_tokens: store.num_tokens(),
-            num_entities,
-            split,
+            kind: view.kind(),
+            base_entities: view.num_entities(),
+            base_blocks: view.num_blocks(),
+            base_tokens: view.num_tokens(),
+            num_entities: view.num_entities(),
+            split: view.split(),
             ops: Vec::new(),
             tombstones: FxHashSet::default(),
             touched: FxHashMap::default(),
@@ -357,14 +353,14 @@ impl DeltaOverlay {
     /// validated at load ([`validate_delta_runs`]), so this only fails on a
     /// sequence that never passed a loader.
     pub(crate) fn replay(
-        store: &SnapshotStore,
+        view: &SnapshotView,
         warm: &Warm,
         runs: &[Vec<DeltaOp>],
     ) -> Result<DeltaOverlay, SnapshotError> {
-        let mut overlay = DeltaOverlay::new(store);
+        let mut overlay = DeltaOverlay::new(view);
         for ops in runs {
             for op in ops {
-                overlay.apply(op.clone(), store, warm)?;
+                overlay.apply(op.clone(), view, warm)?;
             }
         }
         Ok(overlay)
@@ -451,27 +447,17 @@ impl DeltaOverlay {
     /// copied by an *earlier generation* is still shared through its `Arc`;
     /// [`Arc::make_mut`] re-copies just that block, so patching stays O(one
     /// block) while the overlay clone stays O(refcounts).
-    fn cow_block(&mut self, b: u32, store: &SnapshotStore) -> &mut OverlayBlock {
+    fn cow_block(&mut self, b: u32, view: &SnapshotView) -> &mut OverlayBlock {
         let arc = self.touched.entry(b).or_insert_with(|| {
-            let (left, right) = match store {
-                SnapshotStore::Owned(s) => {
-                    let block = s.blocks().block(b as usize);
-                    (
-                        block.left().iter().map(|e| e.0).collect(),
-                        block.right().iter().map(|e| e.0).collect(),
-                    )
-                }
-                SnapshotStore::Mapped(v) => {
-                    let (lo, hi) = (
-                        v.offsets().get(b as usize) as usize,
-                        v.offsets().get(b as usize + 1) as usize,
-                    );
-                    let sp = v.splits().get(b as usize) as usize;
-                    // Dirty blocks have sp == hi: whole block left, right
-                    // empty — the arena convention.
-                    (v.members().slice(lo, sp).to_vec(), v.members().slice(sp, hi).to_vec())
-                }
-            };
+            let (lo, hi) = (
+                view.offsets().get(b as usize) as usize,
+                view.offsets().get(b as usize + 1) as usize,
+            );
+            let sp = view.splits().get(b as usize) as usize;
+            // Dirty blocks have sp == hi: whole block left, right empty —
+            // the arena convention.
+            let (left, right) =
+                (view.members().slice(lo, sp).to_vec(), view.members().slice(sp, hi).to_vec());
             Arc::new(OverlayBlock { left, right })
         });
         Arc::make_mut(arc)
@@ -479,24 +465,16 @@ impl DeltaOverlay {
 
     /// Removes every current membership of `id` (COW-patching each block it
     /// sits in) and empties its block list. The inverse of indexing.
-    fn detach(&mut self, id: u32, store: &SnapshotStore) {
+    fn detach(&mut self, id: u32, view: &SnapshotView) {
         let right = self.is_right(id);
         let list: Vec<u32> = match self.entity_lists.get(&id) {
             Some(l) => l.as_ref().clone(),
-            None => {
-                if (id as usize) < self.base_entities {
-                    match store {
-                        SnapshotStore::Owned(s) => s.index().block_list(EntityId(id)).to_vec(),
-                        SnapshotStore::Mapped(v) => {
-                            let lo = v.idx_offsets().get(id as usize) as usize;
-                            let hi = v.idx_offsets().get(id as usize + 1) as usize;
-                            v.lists().slice(lo, hi).to_vec()
-                        }
-                    }
-                } else {
-                    Vec::new()
-                }
+            None if (id as usize) < self.base_entities => {
+                let lo = view.idx_offsets().get(id as usize) as usize;
+                let hi = view.idx_offsets().get(id as usize + 1) as usize;
+                view.lists().slice(lo, hi).to_vec()
             }
+            None => Vec::new(),
         };
         for b in list {
             if b as usize >= self.base_blocks {
@@ -505,7 +483,7 @@ impl DeltaOverlay {
                 Arc::make_mut(&mut self.new_blocks[b as usize - self.base_blocks])
                     .remove(id, right);
             } else {
-                self.cow_block(b, store).remove(id, right);
+                self.cow_block(b, view).remove(id, right);
             }
         }
         // Pending postings are not in any block list yet; sweep them too.
@@ -522,7 +500,7 @@ impl DeltaOverlay {
     pub(crate) fn apply(
         &mut self,
         op: DeltaOp,
-        store: &SnapshotStore,
+        view: &SnapshotView,
         warm: &Warm,
     ) -> Result<u32, SnapshotError> {
         match &op {
@@ -535,7 +513,7 @@ impl DeltaOverlay {
                     )));
                 }
                 if (id as usize) < self.num_entities && !self.tombstones.contains(&id) {
-                    self.detach(id, store);
+                    self.detach(id, view);
                 }
                 self.tombstones.remove(&id);
                 if id as usize == self.num_entities {
@@ -544,7 +522,7 @@ impl DeltaOverlay {
                         self.split = self.num_entities;
                     }
                 }
-                self.index_profile(id, profile, store, warm);
+                self.index_profile(id, profile, view, warm);
             }
             DeltaOp::Delete { id } => {
                 let id = *id;
@@ -554,7 +532,7 @@ impl DeltaOverlay {
                         self.num_entities
                     )));
                 }
-                self.detach(id, store);
+                self.detach(id, view);
                 self.tombstones.insert(id);
             }
         }
@@ -572,7 +550,7 @@ impl DeltaOverlay {
         &mut self,
         id: u32,
         profile: &EntityProfile,
-        store: &SnapshotStore,
+        view: &SnapshotView,
         warm: &Warm,
     ) {
         let right = self.is_right(id);
@@ -587,7 +565,7 @@ impl DeltaOverlay {
         scratch.sort_dedup();
         let mut list: Vec<u32> = Vec::new();
         for token in scratch.iter() {
-            let tid = match warm.token_id(store, token) {
+            let tid = match view.find_token(token.as_bytes()) {
                 Some(tid) => tid,
                 None => match self.new_token_ids.get(token) {
                     Some(&tid) => tid,
@@ -609,7 +587,7 @@ impl DeltaOverlay {
             let base_block =
                 if (tid as usize) < self.base_tokens { warm.block_of(tid) } else { u32::MAX };
             if base_block != u32::MAX {
-                self.cow_block(base_block, store).insert(id, right);
+                self.cow_block(base_block, view).insert(id, right);
                 list.push(base_block);
                 continue;
             }

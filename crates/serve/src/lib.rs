@@ -6,44 +6,42 @@
 //! block collection, its entity index, the blocking vocabulary, and the
 //! derived thresholds — durable and queryable:
 //!
-//! - [`Snapshot`] freezes that state into a versioned, checksummed binary
-//!   format ([`Snapshot::to_bytes`] / [`Snapshot::from_bytes`]) whose loader
-//!   validates every structural invariant and never panics on malformed
-//!   input (see [`SnapshotError`]). Builds that exceed RAM stream their
-//!   postings through bounded-memory spill files instead
+//! - [`Snapshot`] builds that state and freezes it into a versioned,
+//!   checksummed binary format ([`Snapshot::to_bytes`] /
+//!   [`Snapshot::write_to`]). Builds that exceed RAM stream their postings
+//!   through bounded-memory spill files instead
 //!   ([`Snapshot::build_out_of_core`], tuned by [`OutOfCoreConfig`]).
-//! - [`SnapshotView`] loads the same format *zero-copy*: the fixed-width
+//! - [`SnapshotView`] is the one reader of that format. The fixed-width
 //!   sections are 8-byte-aligned in the file, so after one checksum-gated
 //!   validation pass every array is borrowed straight out of the loaded
-//!   buffer — no per-section decode, no second allocation. [`SnapshotHeader`]
-//!   reads just the section table for O(1) inspection.
-//! - [`QueryEngine`] loads a snapshot (owned or view-backed) once and
-//!   answers typed [`CandidateRequest`]s — for indexed entities or unseen
-//!   probe profiles — with the same weighting schemes, retention rules, and
-//!   tie ordering as batch node-centric pruning, so online answers match the
-//!   offline pipeline bit for bit. [`QueryEngine::with_shards`] partitions
-//!   the per-entity work across range shards for parallel batch scoring with
-//!   deterministic, bit-identical merges.
+//!   buffer — no per-section decode, no second allocation. The loader
+//!   never panics on malformed input (see [`SnapshotError`]).
+//!   [`SnapshotHeader`] reads just the section table for O(1) inspection.
+//! - [`QueryEngine`] is built once over a view and answers typed
+//!   [`CandidateRequest`]s — for indexed entities or unseen probe profiles
+//!   — with the same weighting schemes, retention rules, and tie ordering
+//!   as batch node-centric pruning, so online answers match the offline
+//!   pipeline bit for bit.
 //! - [`Server`] keeps an engine resident behind a TCP listener speaking a
 //!   checksummed, length-prefixed wire protocol ([`protocol`]), with
-//!   zero-downtime snapshot reloads through hot-swappable generations
-//!   ([`GenerationCell`]) and graceful draining shutdown ([`server`]).
+//!   zero-downtime snapshot reloads and live upserts/deletes through
+//!   hot-swappable generations ([`GenerationCell`]) and graceful draining
+//!   shutdown ([`server`]).
 //!
 //! ```
 //! use er_model::{EntityCollection, EntityId, EntityProfile};
 //! use mb_core::PipelineConfig;
-//! use mb_serve::{CandidateRequest, QueryEngine, Snapshot};
+//! use mb_serve::{CandidateRequest, QueryEngine, Snapshot, SnapshotView};
 //!
 //! let e = EntityCollection::dirty(vec![
 //!     EntityProfile::new("p1").with("name", "jack miller"),
 //!     EntityProfile::new("p2").with("fullname", "jack lloyd miller"),
 //!     EntityProfile::new("p3").with("n", "erick lloyd"),
 //! ]);
-//! let snapshot = Snapshot::build(&e, PipelineConfig::default()).unwrap();
-//! let bytes = snapshot.to_bytes();
-//! let restored = Snapshot::from_bytes(&bytes).unwrap();
+//! let bytes = Snapshot::build(&e, PipelineConfig::default()).unwrap().to_bytes();
+//! let view = SnapshotView::from_bytes(bytes).unwrap();
 //!
-//! let mut engine = QueryEngine::new(&restored);
+//! let mut engine = QueryEngine::from_view(&view);
 //! let request = CandidateRequest::entity(EntityId(0));
 //! let response = engine.execute(&request, &mut mb_observe::Noop).unwrap();
 //! let scored = response.first().unwrap();
@@ -73,5 +71,4 @@ pub use generation::{AppliedDelta, Generation, GenerationCell};
 pub use request::{CandidateRequest, CandidateResponse, CandidateTarget};
 pub use server::{Client, Server, ServerConfig, ServerHandle};
 pub use snapshot::{OutOfCoreConfig, SectionInfo, Snapshot, SnapshotHeader, FORMAT_VERSION, MAGIC};
-pub use store::SnapshotStore;
 pub use view::SnapshotView;

@@ -42,7 +42,6 @@ use crate::protocol::{
 };
 use crate::request::{CandidateRequest, CandidateResponse};
 use crate::snapshot::Snapshot;
-use crate::store::SnapshotStore;
 use crate::view::SnapshotView;
 use er_model::EntityProfile;
 use mb_observe::RunReport;
@@ -79,12 +78,6 @@ pub struct ServerConfig {
     /// Rewrite [`ServerConfig::report_path`] every this many requests
     /// (`0` disables periodic writes).
     pub report_every: u64,
-    /// Entity-range shards each connection's engine fans entity queries
-    /// over ([`QueryEngine::with_shards`]); `<= 1` keeps flat scoring.
-    pub shards: usize,
-    /// Worker threads for the sharded scorer (meaningful with `shards > 1`;
-    /// floored to 1).
-    pub shard_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -95,8 +88,6 @@ impl Default for ServerConfig {
             trigger_path: None,
             report_path: None,
             report_every: 100,
-            shards: 1,
-            shard_threads: 1,
         }
     }
 }
@@ -140,8 +131,6 @@ impl Shared {
         // a tight loop.
         let _ = std::fs::remove_file(trigger);
         let mut local = RunReport::new("serve/trigger-reload");
-        // Reloads come in through the zero-copy loader: validation is the
-        // cheap linear pass and the swap publishes a mapped generation.
         let swapped = SnapshotView::read_from(Path::new(path), &mut local)
             .and_then(|snapshot| self.cell.swap(snapshot));
         match swapped {
@@ -169,10 +158,7 @@ impl Server {
     /// Returns once the listener is bound; the handle exposes the bound
     /// address, in-process generation swaps, the aggregated telemetry, and
     /// graceful shutdown. Dropping the handle also shuts the server down.
-    pub fn start(
-        snapshot: impl Into<SnapshotStore>,
-        config: ServerConfig,
-    ) -> Result<ServerHandle, ServeError> {
+    pub fn start(snapshot: SnapshotView, config: ServerConfig) -> Result<ServerHandle, ServeError> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -242,9 +228,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
         // when a swap happened.
         let generation = shared.cell.load();
         let mut engine = QueryEngine::from_generation(&generation);
-        if shared.config.shards > 1 {
-            engine = engine.with_shards(shared.config.shards, shared.config.shard_threads.max(1));
-        }
         loop {
             if shared.stop.load(Ordering::SeqCst) {
                 return Ok(());
@@ -376,23 +359,30 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), ServeErro
 
 /// Folds the serving generation's delta overlay back into a clean arena:
 /// loads the profile bundle, replays the overlay's ops onto it, rebuilds a
-/// snapshot under the same pipeline configuration, optionally persists it,
-/// and compare-and-swaps it in. If any delta landed while the rebuild ran,
-/// the swap fails and the delta-carrying generation keeps serving — a
-/// compaction never silently drops a concurrent op.
+/// snapshot under the same pipeline configuration, encodes it once,
+/// optionally persists those bytes, and compare-and-swaps them in as a view
+/// like every other generation. The built [`Snapshot`] and the merged
+/// profiles are dropped before the view validates the bytes, so they never
+/// coexist with it in memory. If
+/// any delta landed while the rebuild ran, the swap fails and the
+/// delta-carrying generation keeps serving — a compaction never silently
+/// drops a concurrent op.
 fn compact(shared: &Shared, bundle: &str, out: Option<&str>) -> Result<u64, ServeError> {
+    let reload = |e: crate::error::SnapshotError| ServeError::Reload(Box::new(e));
     let generation = shared.cell.load();
     let ops: Vec<DeltaOp> = generation.overlay().map(|o| o.ops()).unwrap_or_default();
     let loaded = er_io::bundle::load(bundle)
         .map_err(|e| ServeError::InvalidRequest(format!("compaction bundle: {e}")))?;
     let mut collection = loaded.collection;
-    merge_ops(&mut collection, &ops).map_err(|e| ServeError::Reload(Box::new(e)))?;
-    let snapshot = Snapshot::build(&collection, generation.store().config().clone())
-        .map_err(|e| ServeError::Reload(Box::new(e)))?;
+    merge_ops(&mut collection, &ops).map_err(reload)?;
+    let bytes =
+        Snapshot::build(&collection, *generation.view().config()).map_err(reload)?.to_bytes();
+    drop(collection);
     if let Some(path) = out {
-        snapshot.write_to(Path::new(path)).map_err(|e| ServeError::Reload(Box::new(e)))?;
+        std::fs::write(path, &bytes).map_err(|e| reload(e.into()))?;
     }
-    shared.cell.swap_if(generation.ordinal(), snapshot).map_err(|e| ServeError::Reload(Box::new(e)))
+    let view = SnapshotView::from_bytes(bytes).map_err(reload)?;
+    shared.cell.swap_if(generation.ordinal(), view).map_err(reload)
 }
 
 /// A running server: the bound address, in-process control, and shutdown.
@@ -416,7 +406,7 @@ impl ServerHandle {
     /// Swaps `snapshot` in as the next generation without going over the
     /// wire; returns the new ordinal. Same semantics as a client reload: on
     /// error the old generation keeps serving.
-    pub fn swap(&self, snapshot: impl Into<SnapshotStore>) -> Result<u64, ServeError> {
+    pub fn swap(&self, snapshot: SnapshotView) -> Result<u64, ServeError> {
         self.shared.cell.swap(snapshot).map_err(|e| ServeError::Reload(Box::new(e)))
     }
 

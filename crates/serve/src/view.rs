@@ -1,13 +1,12 @@
-//! Zero-copy snapshot loading.
+//! The snapshot reader: zero-copy loading with full hostile-input
+//! validation.
 //!
 //! [`SnapshotView`] holds one loaded byte buffer and *borrows* every large
 //! array — the CSR member pool, the block offset and split tables, the flat
 //! entity-index postings, the token offset table and blob — straight out of
 //! it as [`er_model::U32s::Le`] views. Nothing is re-encoded into `Vec`s:
 //! load cost is the file read, the section-table parse, one checksum sweep,
-//! and a linear structural pass. The deep-decoding alternative
-//! ([`crate::Snapshot::from_bytes`]) allocates and re-validates everything;
-//! this path is benchmarked against it as `load_zero_copy`.
+//! and linear structural passes.
 //!
 //! Validation is staged for speed: the `meta` checksum is verified first
 //! (it gates every downstream decision), then the remaining checksums and
@@ -20,31 +19,35 @@
 //! [`descents_and_max`]) instead of a run-by-run compare chain, which
 //! keeps the hot loops vectorizable.
 //!
-//! # What the fast load still validates
+//! # What the load validates
 //!
-//! Everything the query path relies on for memory safety and bit-identical
+//! Everything the query path relies on for memory safety and correct
 //! answers:
 //!
 //! - header, canonical section table, 8-byte alignment, and every wide
 //!   checksum (which covers all payload bytes);
 //! - the `meta` scalars and the embedded pipeline configuration;
 //! - block offsets/splits: monotone, properly bracketed, Dirty blocks with
-//!   `split == hi`, and the recomputed `‖B‖` matching the persisted one;
+//!   `split == hi`, and the recomputed `‖B‖` and `Σ|b|` matching the
+//!   persisted ones;
 //! - every member id in range and strictly ascending per side (Clean-Clean
 //!   sides bracketed by the split);
 //! - the entity index: offsets monotone over `|E|+1` entries, postings
-//!   strictly ascending and in block range, total postings equal to total
-//!   assignments;
-//! - token offsets strictly ascending over the blob, the byte-order
-//!   permutation strictly ascending (hence a permutation), block keys in
-//!   range and duplicate-free;
+//!   strictly ascending and in block range, and the index exactly the
+//!   transpose of the arena — walking the blocks in order, every member is
+//!   the next unconsumed posting of its entity and every posting is
+//!   consumed. Matching counts do not imply this: swapping two entities'
+//!   posting runs keeps every count and every order, and only the
+//!   transpose walk reports it (as a `phantom-assignment` or
+//!   `missing-assignment` [`SnapshotError::Structural`]);
+//! - the token blob valid UTF-8 with every token offset on a char
+//!   boundary, token offsets strictly ascending over the blob (tokens are
+//!   non-empty), the byte-order permutation strictly ascending (hence a
+//!   permutation, and the vocabulary duplicate-free), block keys in range
+//!   and duplicate-free;
+//! - trailing delta runs decoded and replay-validated against the id space;
 //! - the persisted CNP/CEP thresholds re-derived from the verified
 //!   aggregates.
-//!
-//! What it deliberately skips (the owned path keeps them): building
-//! `String` vocabularies, UTF-8 decoding of the token blob (probe lookups
-//! byte-compare), and the index↔blocks cross-walk — the per-element facts
-//! that walk re-checks are implied by the count identities above.
 
 use crate::delta::{decode_delta_run, validate_delta_runs, DeltaOp};
 use crate::error::SnapshotError;
@@ -53,6 +56,7 @@ use crate::snapshot::{
     SECTION_BLOCKKEYS, SECTION_INDEX_LISTS, SECTION_INDEX_OFFSETS, SECTION_MEMBERS, SECTION_META,
     SECTION_OFFSETS, SECTION_SPLITS, SECTION_TOK_BLOB, SECTION_TOK_OFFSETS, SECTION_TOK_SORTED,
 };
+use er_model::sanitize::Violation;
 use er_model::{ErKind, U32s};
 use mb_core::PipelineConfig;
 use mb_observe::{Observer, Stage, StageScope};
@@ -75,11 +79,9 @@ struct ByteRange {
 
 /// A zero-copy loaded snapshot: one owned byte buffer, borrowed arrays.
 ///
-/// Constructed by [`SnapshotView::from_bytes`] / [`SnapshotView::read_from`].
-/// On success the view upholds the same query-path contract as an owned
-/// [`crate::Snapshot`] — the engine built over either answers bit-identically
-/// — but loading skips the decode-and-deep-validate pass (see the module
-/// docs for the exact split).
+/// Constructed by [`SnapshotView::from_bytes`] / [`SnapshotView::read_from`],
+/// which validate everything the module docs list; a view that exists
+/// presents exactly the arrays [`crate::Snapshot::to_bytes`] wrote.
 #[derive(Debug)]
 pub struct SnapshotView {
     buf: Vec<u8>,
@@ -227,7 +229,7 @@ impl SnapshotView {
     /// Loads a snapshot zero-copy from an owned buffer.
     ///
     /// Never panics on malformed input; every failure is a typed
-    /// [`SnapshotError`], same contract as the owned decoder.
+    /// [`SnapshotError`].
     pub fn from_bytes(buf: Vec<u8>) -> Result<SnapshotView, SnapshotError> {
         let table = parse_table(&buf, buf.len())?;
         let entry = |id: u32| -> &SectionEntry {
@@ -445,13 +447,62 @@ impl SnapshotView {
                     "entity postings are out of range or not strictly ascending".into()
                 ));
             }
+            // The index must be the arena's transpose. Walk the blocks in
+            // order: each member `e` of block `k` must be `e`'s next
+            // unconsumed posting. Postings ascend (checked above), so a
+            // next posting below `k` names a block the walk already passed
+            // without meeting `e`, and one above `k` (or none left) misses
+            // `e`'s membership in `k`. The block walk runs concurrently, so
+            // every bound is checked here rather than assumed from it.
+            let structural = |invariant: &'static str, message: String| {
+                SnapshotError::Structural(Violation { invariant, message })
+            };
+            let phantom = |e: usize, k: u32| {
+                let message =
+                    format!("entity {e}: indexed under block {k}, which does not contain it");
+                structural("phantom-assignment", message)
+            };
+            let missing = |e: usize, k: usize| {
+                let message =
+                    format!("entity {e}: block {k} contains it but its block list does not");
+                structural("missing-assignment", message)
+            };
+            let posting = |c: u32| ls_b.get(c as usize * 4..c as usize * 4 + 4).map(le4);
+            // Per entity: its next unconsumed posting and its postings' end.
+            let mut cursor: Vec<[u32; 2]> =
+                le_words(io_b).zip(le_words(&io_b[4..])).map(|(c, end)| [c, end]).collect();
+            let (offs_b, mems_b) = (raw(offsets), raw(members));
+            let mut lo = 0usize;
+            for (k, hi) in le_words(offs_b.get(4..).unwrap_or_default()).enumerate() {
+                let hi = hi as usize;
+                let run = mems_b
+                    .get(lo * 4..hi * 4)
+                    .ok_or_else(|| bad(format!("block {k} bounds corrupt")))?;
+                for e in le_words(run) {
+                    let e = e as usize;
+                    let Some([c, end]) = cursor.get_mut(e) else {
+                        return Err(bad(format!("block {k} holds out-of-range entity {e}")));
+                    };
+                    let next = if *c < *end { posting(*c) } else { None };
+                    match next {
+                        Some(b) if b as usize == k => *c += 1,
+                        Some(b) if (b as usize) < k => return Err(phantom(e, b)),
+                        _ => return Err(missing(e, k)),
+                    }
+                }
+                lo = hi;
+            }
+            for (e, &[c, end]) in cursor.iter().enumerate() {
+                if c != end {
+                    return Err(phantom(e, posting(c).unwrap_or(u32::MAX)));
+                }
+            }
             Ok(())
         };
 
-        // Token layout: strictly ascending offsets spanning the blob, the
-        // byte-order permutation strictly ascending, block keys in range
-        // and duplicate-free. UTF-8 is deliberately not checked — probe
-        // lookups compare bytes.
+        // Token layout: strictly ascending offsets spanning a UTF-8 blob,
+        // each on a char boundary, the byte-order permutation strictly
+        // ascending, block keys in range and duplicate-free.
         let check_tokens = || -> Result<(), SnapshotError> {
             if tok_offsets.count == 0 {
                 return Err(bad("token offsets section is empty".into()));
@@ -473,18 +524,23 @@ impl SnapshotView {
             if !to.is_strict_run(0, u32::MAX) {
                 return Err(bad("token offsets must be strictly ascending".into()));
             }
-            if tok_sorted.count != num_tokens {
-                return Err(bad(format!(
-                    "toksorted has {} entries for {num_tokens} tokens",
-                    tok_sorted.count
-                )));
-            }
             let blob = {
                 // lint:allow(panic-reachability) in range: bytes_section proved
                 // start + len lies within the section payload.
                 &buf[tok_blob.start..tok_blob.start + tok_blob.len]
             };
             let to_b = raw(tok_offsets);
+            let utf8 = || SnapshotError::Utf8 { section: "tokblob" };
+            let text = std::str::from_utf8(blob).map_err(|_| utf8())?;
+            if !le_words(to_b).all(|o| text.is_char_boundary(o as usize)) {
+                return Err(utf8());
+            }
+            if tok_sorted.count != num_tokens {
+                return Err(bad(format!(
+                    "toksorted has {} entries for {num_tokens} tokens",
+                    tok_sorted.count
+                )));
+            }
             let mut prev_tok: Option<(usize, usize)> = None;
             for id in le_words(raw(tok_sorted)) {
                 let id = id as usize;

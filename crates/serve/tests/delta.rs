@@ -1,8 +1,7 @@
 //! Incremental-delta correctness end to end: upserts and deletes applied
 //! against a live [`GenerationCell`] must be queryable immediately, agree
 //! with a from-scratch rebuild wherever the overlay's semantics promise
-//! exact answers, persist through write-ahead delta runs in both storage
-//! flavors, and fold back into a **bit-identical** clean arena under
+//! exact answers, persist through write-ahead delta runs, and fold back into a **bit-identical** clean arena under
 //! compaction. A concurrency test pins generations from reader threads
 //! while a writer streams upserts, proving no reader ever observes a
 //! half-applied op.
@@ -15,7 +14,7 @@ use mb_serve::{
     SnapshotView, APPEND,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// A Dirty fixture where every token appears in at least two profiles, so
 /// the base snapshot persists a block for each — the regime where delta
@@ -30,10 +29,14 @@ fn base_profiles() -> Vec<EntityProfile> {
     ]
 }
 
-fn base_snapshot(scheme: WeightingScheme) -> Snapshot {
+fn base_snapshot(scheme: WeightingScheme) -> SnapshotView {
     let collection = EntityCollection::dirty(base_profiles());
     let config = PipelineConfig { weighting: scheme, ..PipelineConfig::default() };
-    Snapshot::build(&collection, config).unwrap()
+    view_of(Snapshot::build(&collection, config).unwrap())
+}
+
+fn view_of(snapshot: Snapshot) -> SnapshotView {
+    SnapshotView::from_bytes(snapshot.to_bytes()).unwrap()
 }
 
 /// Sorted candidate ids for `id`, retaining everything.
@@ -122,12 +125,14 @@ fn delta_answers_match_a_from_scratch_rebuild() {
         let mut merged = base_profiles();
         merged.push(new5.clone());
         merged[2] = new2.clone();
-        let rebuilt = Snapshot::build(
-            &EntityCollection::dirty(merged),
-            PipelineConfig { weighting: scheme, ..PipelineConfig::default() },
-        )
-        .unwrap();
-        let mut fresh = QueryEngine::new(&rebuilt);
+        let rebuilt = view_of(
+            Snapshot::build(
+                &EntityCollection::dirty(merged),
+                PipelineConfig { weighting: scheme, ..PipelineConfig::default() },
+            )
+            .unwrap(),
+        );
+        let mut fresh = QueryEngine::from_view(&rebuilt);
 
         for id in 0..6 {
             assert_eq!(
@@ -141,9 +146,10 @@ fn delta_answers_match_a_from_scratch_rebuild() {
 
 #[test]
 fn persisted_delta_runs_reload_to_the_same_answers() {
-    let base = base_snapshot(WeightingScheme::Cbs);
-    let base_bytes = base.to_bytes();
-    let cell = GenerationCell::new(base).unwrap();
+    let config = PipelineConfig { weighting: WeightingScheme::Cbs, ..PipelineConfig::default() };
+    let base_bytes =
+        Snapshot::build(&EntityCollection::dirty(base_profiles()), config).unwrap().to_bytes();
+    let cell = GenerationCell::new(SnapshotView::from_bytes(base_bytes.clone()).unwrap()).unwrap();
     cell.apply(
         DeltaOp::Upsert {
             id: APPEND,
@@ -156,39 +162,28 @@ fn persisted_delta_runs_reload_to_the_same_answers() {
     let live = cell.load();
     let ops = live.overlay().unwrap().ops();
 
-    // Write-ahead the same ops as a delta run and reload in both flavors.
+    // Write-ahead the same ops as a delta run and reload.
     let with_deltas = append_delta_run(&base_bytes, &ops).unwrap();
-    let owned = Snapshot::from_bytes(&with_deltas).unwrap();
-    assert_eq!(owned.delta_runs().len(), 1);
-    let mapped = SnapshotView::from_bytes(with_deltas.clone()).unwrap();
-    let owned_cell = GenerationCell::new(owned).unwrap();
-    let mapped_cell = GenerationCell::new(mapped).unwrap();
-    let owned_gen = owned_cell.load();
-    let mapped_gen = mapped_cell.load();
+    let reloaded = SnapshotView::from_bytes(with_deltas.clone()).unwrap();
+    assert_eq!(reloaded.delta_runs().len(), 1);
+    let reloaded_cell = GenerationCell::new(reloaded).unwrap();
+    let reloaded_gen = reloaded_cell.load();
 
     let mut live_engine = QueryEngine::from_generation(&live);
-    let mut owned_engine = QueryEngine::from_generation(&owned_gen);
-    let mut mapped_engine = QueryEngine::from_generation(&mapped_gen);
-    assert_eq!(owned_gen.num_entities(), live.num_entities());
-    assert_eq!(mapped_gen.num_entities(), live.num_entities());
+    let mut reloaded_engine = QueryEngine::from_generation(&reloaded_gen);
+    assert_eq!(reloaded_gen.num_entities(), live.num_entities());
     for id in 0..live.num_entities() as u32 {
-        let want = weighted_candidates_of(&mut live_engine, id);
         assert_eq!(
-            weighted_candidates_of(&mut owned_engine, id),
-            want,
-            "entity {id}: owned reload diverged from the live overlay"
-        );
-        assert_eq!(
-            weighted_candidates_of(&mut mapped_engine, id),
-            want,
-            "entity {id}: mapped reload diverged from the live overlay"
+            weighted_candidates_of(&mut reloaded_engine, id),
+            weighted_candidates_of(&mut live_engine, id),
+            "entity {id}: reload diverged from the live overlay"
         );
     }
 
     // A second run appended over the first composes, too.
     let more = [DeltaOp::Delete { id: 3 }];
     let two_runs = append_delta_run(&with_deltas, &more).unwrap();
-    let reloaded = Snapshot::from_bytes(&two_runs).unwrap();
+    let reloaded = SnapshotView::from_bytes(two_runs).unwrap();
     assert_eq!(reloaded.delta_runs().len(), 2);
     let cell2 = GenerationCell::new(reloaded).unwrap();
     assert!(cell2.load().overlay().unwrap().is_tombstoned(3));
@@ -230,7 +225,7 @@ fn compaction_is_bit_identical_to_a_fresh_build() {
 
     assert_eq!(compacted, fresh, "compaction must be bit-identical to a from-scratch build");
     // And the compacted image carries no delta runs.
-    assert!(Snapshot::from_bytes(&compacted).unwrap().delta_runs().is_empty());
+    assert!(SnapshotView::from_bytes(compacted).unwrap().delta_runs().is_empty());
 }
 
 fn profile_of(op: &DeltaOp) -> &EntityProfile {
@@ -286,17 +281,37 @@ fn concurrent_readers_never_observe_a_half_applied_delta() {
         PipelineConfig { weighting: WeightingScheme::Cbs, ..PipelineConfig::default() },
     )
     .unwrap();
-    let cell = Arc::new(GenerationCell::new(snapshot).unwrap());
+    let cell = Arc::new(GenerationCell::new(view_of(snapshot)).unwrap());
+    let upsert = |i: usize| {
+        cell.apply(
+            DeltaOp::Upsert {
+                id: APPEND,
+                profile: EntityProfile::new(format!("a{i}")).with("name", format!("anchor u{i}")),
+            },
+            &mut Noop,
+        )
+        .unwrap();
+    };
+    // One append before the readers start, so the generation each of them
+    // pins first already has an appended entity to check.
+    upsert(0);
     let stop = Arc::new(AtomicBool::new(false));
+    // The writer waits here until every reader has pinned a generation.
+    let pinned = Arc::new(Barrier::new(READERS + 1));
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let cell = Arc::clone(&cell);
             let stop = Arc::clone(&stop);
+            let pinned = Arc::clone(&pinned);
             std::thread::spawn(move || {
                 let mut checked = 0u64;
+                let mut first = true;
                 while !stop.load(Ordering::SeqCst) {
                     let generation = cell.load();
+                    if std::mem::take(&mut first) {
+                        pinned.wait();
+                    }
                     let appended = generation.num_entities() - 2;
                     let mut engine = QueryEngine::from_generation(&generation);
                     for id in 2..generation.num_entities() as u32 {
@@ -318,15 +333,9 @@ fn concurrent_readers_never_observe_a_half_applied_delta() {
         })
         .collect();
 
-    for i in 0..UPSERTS {
-        cell.apply(
-            DeltaOp::Upsert {
-                id: APPEND,
-                profile: EntityProfile::new(format!("a{i}")).with("name", format!("anchor u{i}")),
-            },
-            &mut Noop,
-        )
-        .unwrap();
+    pinned.wait();
+    for i in 1..UPSERTS {
+        upsert(i);
         std::thread::yield_now();
     }
 

@@ -3,6 +3,8 @@
 //! candidates must equal the batch node-centric pruning schemes' retained
 //! neighbors for that node — same thresholds, same `WeightedEdge` total
 //! order — and the batch API must be bit-identical across thread counts.
+//! Every engine is built through the reader ([`SnapshotView`]), the path
+//! `er query` and `er serve` take.
 
 use er_datagen::presets;
 use er_model::{EntityCollection, EntityId};
@@ -11,7 +13,7 @@ use mb_core::weights::EdgeWeigher;
 use mb_core::{
     GraphContext, Noop, PipelineConfig, Retention, Scored, WeightingImpl, WeightingScheme,
 };
-use mb_serve::{CandidateRequest, QueryEngine, Snapshot, SnapshotView};
+use mb_serve::{CandidateRequest, GenerationCell, QueryEngine, Snapshot, SnapshotView};
 
 const SCHEMES: [WeightingScheme; 5] = [
     WeightingScheme::Arcs,
@@ -31,6 +33,11 @@ fn cc_snapshot() -> Snapshot {
     let collection = presets::build(&presets::tiny(43)).unwrap().collection;
     let config = PipelineConfig { filter_ratio: Some(0.8), ..PipelineConfig::default() };
     Snapshot::build(&collection, config).unwrap()
+}
+
+/// Loads the built snapshot's bytes through the reader.
+fn view_of(snapshot: &Snapshot) -> SnapshotView {
+    SnapshotView::from_bytes(snapshot.to_bytes()).unwrap()
 }
 
 /// The batch scheme's retained neighbors per pivot, as sorted id lists.
@@ -69,8 +76,9 @@ fn run_one(engine: &mut QueryEngine<'_>, request: CandidateRequest) -> Scored {
 }
 
 fn assert_engine_matches_batch(snapshot: &Snapshot, label: &str) {
+    let view = view_of(snapshot);
     for scheme in SCHEMES {
-        let mut engine = QueryEngine::with_scheme(snapshot, scheme);
+        let mut engine = QueryEngine::from_view(&view).with_scheme(scheme);
 
         let by_cnp = batch_retained(snapshot, scheme, |ctx, weigher, sink| {
             cnp(ctx, weigher, WeightingImpl::Optimized, &mut Noop, sink)
@@ -119,8 +127,9 @@ fn query_matches_batch_pruning_on_the_clean_clean_fixture() {
 #[test]
 fn batch_is_identical_across_thread_counts_and_to_single_queries() {
     for (label, snapshot) in [("dirty", dirty_snapshot()), ("clean-clean", cc_snapshot())] {
+        let view = view_of(&snapshot);
         for scheme in [WeightingScheme::Js, WeightingScheme::Ejs] {
-            let mut engine = QueryEngine::with_scheme(&snapshot, scheme);
+            let mut engine = QueryEngine::from_view(&view).with_scheme(scheme);
             let retention = Retention::TopK(snapshot.cnp_threshold());
             let singles: Vec<Scored> = (0..snapshot.num_entities())
                 .map(|pivot| {
@@ -159,7 +168,8 @@ fn probing_an_indexed_entitys_profile_finds_its_batch_neighbors() {
         PipelineConfig { weighting: WeightingScheme::Cbs, ..PipelineConfig::default() },
     )
     .unwrap();
-    let mut engine = QueryEngine::with_scheme(&snapshot, WeightingScheme::Cbs);
+    let view = view_of(&snapshot);
+    let mut engine = QueryEngine::from_view(&view).with_scheme(WeightingScheme::Cbs);
     let keep_all = Retention::TopK(usize::MAX);
     for (id, profile) in collection.iter() {
         let queried = run_one(&mut engine, CandidateRequest::entity(id).with_retention(keep_all));
@@ -184,21 +194,21 @@ fn default_retention_follows_the_configured_pruning_scheme() {
         PipelineConfig { pruning: mb_core::PruningScheme::Cnp, ..PipelineConfig::default() },
     )
     .unwrap();
-    let engine = QueryEngine::new(&cardinality);
+    let view = view_of(&cardinality);
+    let engine = QueryEngine::from_view(&view);
     assert_eq!(engine.default_retention(), Retention::TopK(cardinality.cnp_threshold()));
 
-    let weighted = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
-    let engine = QueryEngine::new(&weighted);
+    let weighted = view_of(&Snapshot::build(&collection, PipelineConfig::default()).unwrap());
+    let engine = QueryEngine::from_view(&weighted);
     assert_eq!(engine.default_retention(), Retention::AboveMean);
 }
 
 #[test]
-fn zero_copy_and_sharded_engines_are_bit_identical_to_the_owned_engine() {
-    // The tentpole equivalence pin: an engine over a zero-copy
-    // [`SnapshotView`], and sharded engines over either storage flavor, must
-    // reproduce the owned single-arena engine's responses *exactly* — same
-    // candidates, same score bits, same order — across schemes, retentions,
-    // shard counts, and thread counts.
+fn view_and_generation_engines_are_bit_identical() {
+    // A standalone engine over a view derives its own routing table; the
+    // server's per-connection engine borrows the generation's pre-warmed
+    // one. Both must answer *exactly* alike — same candidates, same score
+    // bits, same order — across schemes, retentions and probe requests.
     let fixtures = [
         ("dirty", presets::build(&presets::tiny(42)).unwrap().into_dirty().collection),
         ("clean-clean", presets::build(&presets::tiny(43)).unwrap().collection),
@@ -206,73 +216,42 @@ fn zero_copy_and_sharded_engines_are_bit_identical_to_the_owned_engine() {
     for (label, collection) in fixtures {
         let config = PipelineConfig { filter_ratio: Some(0.8), ..PipelineConfig::default() };
         let snapshot = Snapshot::build(&collection, config).unwrap();
-        let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
+        let view = view_of(&snapshot);
+        let cell = GenerationCell::new(view_of(&snapshot)).unwrap();
+        let generation = cell.load();
         let n = snapshot.num_entities();
         for scheme in SCHEMES {
             for retention in [Retention::TopK(snapshot.cnp_threshold()), Retention::AboveMean] {
-                let mut baseline = QueryEngine::with_scheme(&snapshot, scheme);
-                let expected: Vec<Scored> = (0..n)
-                    .map(|pivot| {
-                        run_one(
-                            &mut baseline,
-                            CandidateRequest::entity(EntityId(pivot as u32))
-                                .with_retention(retention),
-                        )
-                    })
-                    .collect();
-                let expected_batch =
-                    run(&mut baseline, CandidateRequest::batch().with_retention(retention));
-
-                let mut variants: Vec<(String, QueryEngine<'_>)> =
-                    vec![("view".into(), QueryEngine::view_with_scheme(&view, scheme))];
-                for shards in [2, 3, 8] {
-                    for threads in [1, 2] {
-                        variants.push((
-                            format!("owned/shards={shards}/threads={threads}"),
-                            QueryEngine::with_scheme(&snapshot, scheme)
-                                .with_shards(shards, threads),
-                        ));
-                        variants.push((
-                            format!("view/shards={shards}/threads={threads}"),
-                            QueryEngine::view_with_scheme(&view, scheme)
-                                .with_shards(shards, threads),
-                        ));
-                    }
-                }
-                for (variant, mut engine) in variants {
-                    for (pivot, want) in expected.iter().enumerate() {
-                        let got = run_one(
-                            &mut engine,
-                            CandidateRequest::entity(EntityId(pivot as u32))
-                                .with_retention(retention),
-                        );
-                        assert_eq!(
-                            &got, want,
-                            "{label}/{scheme:?}/{retention:?}/{variant}: entity {pivot} diverged"
-                        );
-                    }
+                let mut standalone = QueryEngine::from_view(&view).with_scheme(scheme);
+                let mut served = QueryEngine::from_generation(&generation).with_scheme(scheme);
+                for pivot in 0..n {
+                    let request = || {
+                        CandidateRequest::entity(EntityId(pivot as u32)).with_retention(retention)
+                    };
                     assert_eq!(
-                        run(&mut engine, CandidateRequest::batch().with_retention(retention)),
-                        expected_batch,
-                        "{label}/{scheme:?}/{retention:?}/{variant}: batch diverged"
+                        run_one(&mut served, request()),
+                        run_one(&mut standalone, request()),
+                        "{label}/{scheme:?}/{retention:?}: entity {pivot} diverged"
                     );
                 }
+                let batch = || CandidateRequest::batch().with_retention(retention);
+                assert_eq!(
+                    run(&mut served, batch()),
+                    run(&mut standalone, batch()),
+                    "{label}/{scheme:?}/{retention:?}: batch diverged"
+                );
             }
         }
 
-        // Probe requests take the flat path on every engine; the view's
-        // byte-compare token lookup must agree with the owned hash map.
-        let mut owned = QueryEngine::new(&snapshot);
-        let mut viewed = QueryEngine::from_view(&view);
-        let mut sharded = QueryEngine::from_view(&view).with_shards(4, 2);
+        let mut standalone = QueryEngine::from_view(&view);
+        let mut served = QueryEngine::from_generation(&generation);
         for (_, profile) in collection.iter().take(8) {
             let request = || {
                 CandidateRequest::probe(profile.clone(), true)
                     .with_retention(Retention::TopK(usize::MAX))
             };
-            let want = run_one(&mut owned, request());
-            assert_eq!(run_one(&mut viewed, request()), want, "{label}: view probe diverged");
-            assert_eq!(run_one(&mut sharded, request()), want, "{label}: sharded probe diverged");
+            let want = run_one(&mut standalone, request());
+            assert_eq!(run_one(&mut served, request()), want, "{label}: probe diverged");
         }
     }
 }
@@ -282,8 +261,8 @@ fn default_retention_matches_an_explicit_request() {
     // A request without an explicit retention must resolve to the engine
     // default — the contract the removed positional entry points used to
     // pin down.
-    let snapshot = dirty_snapshot();
-    let mut engine = QueryEngine::new(&snapshot);
+    let view = view_of(&dirty_snapshot());
+    let mut engine = QueryEngine::from_view(&view);
     let retention = engine.default_retention();
     let implicit = run_one(&mut engine, CandidateRequest::entity(EntityId(0)));
     let explicit =

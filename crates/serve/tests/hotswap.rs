@@ -8,7 +8,7 @@
 
 use er_model::{EntityCollection, EntityId, EntityProfile};
 use mb_core::{Noop, PipelineConfig, Retention};
-use mb_serve::{CandidateRequest, GenerationCell, QueryEngine, Snapshot};
+use mb_serve::{CandidateRequest, GenerationCell, QueryEngine, Snapshot, SnapshotView};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// `variant`: entity 0 ("jack miller") pairs with exactly one of the other
 /// profiles, and which one depends on which variant's profile shares its
 /// tokens.
-fn variant_snapshot(variant: usize) -> Snapshot {
+fn variant_snapshot(variant: usize) -> SnapshotView {
     // Entity `1 + variant` is the only profile sharing both of entity 0's
     // tokens; the others share nothing.
     let decoys = ["aaa bbb", "ccc ddd", "eee fff", "ggg hhh"];
@@ -26,7 +26,8 @@ fn variant_snapshot(variant: usize) -> Snapshot {
         profiles.push(EntityProfile::new(format!("p{i}")).with("name", text));
     }
     let collection = EntityCollection::dirty(profiles);
-    Snapshot::build(&collection, PipelineConfig::default()).unwrap()
+    let bytes = Snapshot::build(&collection, PipelineConfig::default()).unwrap().to_bytes();
+    SnapshotView::from_bytes(bytes).unwrap()
 }
 
 /// The expected sole candidate of entity 0 under `variant`.

@@ -1,18 +1,18 @@
 //! Round-trip and corruption property tests for the snapshot codec.
 //!
-//! The contract under test: encoding is deterministic and bit-stable across
-//! a decode/encode cycle, and *every* malformed input — truncations, bit
+//! The contract under test: the reader presents exactly the arrays the
+//! builder encoded, and *every* malformed input — truncations, bit
 //! flips, forged tables, misaligned sections, checksum-valid-but-
 //! inconsistent payloads, files from other format versions — fails with a
 //! typed [`SnapshotError`], never a panic and never an unbounded
-//! allocation. Both decode paths are swept: the deep-validating owned
-//! decoder ([`Snapshot::from_bytes`]) and the zero-copy loader
-//! ([`SnapshotView::from_bytes`]).
+//! allocation — from the one reader, [`SnapshotView::from_bytes`].
 
 use er_datagen::presets;
 use er_model::{EntityCollection, EntityProfile};
 use mb_core::{PipelineConfig, PruningScheme, WeightingScheme};
-use mb_serve::{Snapshot, SnapshotError, SnapshotHeader, SnapshotView, FORMAT_VERSION, MAGIC};
+use mb_serve::{
+    DeltaOp, Snapshot, SnapshotError, SnapshotHeader, SnapshotView, FORMAT_VERSION, MAGIC,
+};
 
 fn config(weighting: WeightingScheme, filter_ratio: Option<f64>) -> PipelineConfig {
     PipelineConfig { weighting, filter_ratio, ..PipelineConfig::default() }
@@ -49,6 +49,7 @@ const MEMBERS: u32 = 2;
 const OFFSETS: u32 = 3;
 const LISTS: u32 = 5;
 const INDEX_OFFSETS: u32 = 6;
+const TOK_OFFSETS: u32 = 7;
 const TOK_BLOB: u32 = 8;
 const TOK_SORTED: u32 = 9;
 const BLOCKKEYS: u32 = 10;
@@ -139,7 +140,8 @@ fn build_frame(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
 }
 
 /// Encodes `snapshot` with one section's payload mutated, checksums fixed up
-/// so the corruption reaches the decoders instead of the checksum gate.
+/// so the corruption reaches the structural checks instead of the checksum
+/// gate.
 fn corrupt(snapshot: &Snapshot, section: u32, mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut sections = parse_frame(&snapshot.to_bytes());
     let slot = sections.iter_mut().find(|(id, _)| *id == section).unwrap();
@@ -147,16 +149,7 @@ fn corrupt(snapshot: &Snapshot, section: u32, mutate: impl FnOnce(&mut Vec<u8>))
     build_frame(&sections)
 }
 
-/// Decodes mutated bytes through the deep-validating owned path.
-fn decode_with(
-    snapshot: &Snapshot,
-    section: u32,
-    mutate: impl FnOnce(&mut Vec<u8>),
-) -> Result<Snapshot, SnapshotError> {
-    Snapshot::from_bytes(&corrupt(snapshot, section, mutate))
-}
-
-/// Decodes mutated bytes through the zero-copy view path.
+/// Loads mutated bytes through the reader.
 fn view_with(
     snapshot: &Snapshot,
     section: u32,
@@ -188,21 +181,16 @@ fn roundtrip_is_bit_identical_across_kinds_and_configs() {
     for (collection, cfg) in cases {
         let snapshot = Snapshot::build(&collection, cfg).unwrap();
         let bytes = snapshot.to_bytes();
-        let restored = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(restored.to_bytes(), bytes, "decode/encode must be bit-identical");
-        assert_eq!(restored.kind(), snapshot.kind());
-        assert_eq!(restored.split(), snapshot.split());
-        assert_eq!(restored.cnp_threshold(), snapshot.cnp_threshold());
-        assert_eq!(restored.cep_threshold(), snapshot.cep_threshold());
-        assert_eq!(restored.total_comparisons(), snapshot.total_comparisons());
-        assert_eq!(restored.total_assignments(), snapshot.total_assignments());
-        assert_eq!(restored.tokens(), snapshot.tokens());
-        assert_eq!(restored.block_keys(), snapshot.block_keys());
-        assert_eq!(restored.config(), snapshot.config());
+        assert_eq!(
+            Snapshot::build(&collection, cfg).unwrap().to_bytes(),
+            bytes,
+            "encoding drifted"
+        );
 
-        // The zero-copy loader accepts the same bytes and agrees on every
-        // scalar the query path starts from.
+        // The reader accepts the bytes and agrees on every scalar the query
+        // path starts from…
         let view = SnapshotView::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(view.file_len(), bytes.len());
         assert_eq!(view.kind(), snapshot.kind());
         assert_eq!(view.num_entities(), snapshot.num_entities());
         assert_eq!(view.split(), snapshot.split());
@@ -213,7 +201,31 @@ fn roundtrip_is_bit_identical_across_kinds_and_configs() {
         assert_eq!(view.total_comparisons(), snapshot.total_comparisons());
         assert_eq!(view.total_assignments(), snapshot.total_assignments());
         assert_eq!(view.config(), snapshot.config());
-        for (id, token) in snapshot.tokens().iter().enumerate() {
+        assert!(view.delta_runs().is_empty());
+
+        // …and every section it borrows equals the built arrays.
+        let (members, offsets, splits) = snapshot.blocks().raw_parts();
+        let members: Vec<u32> = members.iter().map(|e| e.0).collect();
+        assert_eq!(view.members().to_vec(), members);
+        assert_eq!(view.offsets().to_vec(), offsets);
+        assert_eq!(view.splits().to_vec(), splits);
+        let (lists, idx_offsets) = snapshot.index().raw_parts();
+        assert_eq!(view.lists().to_vec(), lists);
+        assert_eq!(view.idx_offsets().to_vec(), idx_offsets);
+        assert_eq!(view.block_keys().to_vec(), snapshot.block_keys());
+        let tokens = snapshot.tokens();
+        assert_eq!(view.tok_blob(), tokens.concat().as_bytes());
+        let mut at = 0u32;
+        let mut tok_offsets = vec![0u32];
+        for token in tokens {
+            at += token.len() as u32;
+            tok_offsets.push(at);
+        }
+        assert_eq!(view.tok_offsets().to_vec(), tok_offsets);
+        let mut by_bytes: Vec<u32> = (0..tokens.len() as u32).collect();
+        by_bytes.sort_by(|&a, &b| tokens[a as usize].cmp(&tokens[b as usize]));
+        assert_eq!(view.tok_sorted().to_vec(), by_bytes);
+        for (id, token) in tokens.iter().enumerate() {
             assert_eq!(view.token_bytes(id as u32), token.as_bytes());
             assert_eq!(view.find_token(token.as_bytes()), Some(id as u32));
         }
@@ -236,11 +248,9 @@ fn empty_and_one_sided_collections_roundtrip() {
     for collection in [disjoint, one_sided] {
         let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
         assert_eq!(snapshot.blocks().size(), 0);
-        let bytes = snapshot.to_bytes();
-        let restored = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(restored.to_bytes(), bytes);
-        let view = SnapshotView::from_bytes(bytes).unwrap();
+        let view = SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
         assert_eq!(view.num_blocks(), 0);
+        assert_eq!(view.num_entities(), collection.len());
     }
 }
 
@@ -265,7 +275,7 @@ fn header_reports_the_canonical_aligned_table() {
     assert_eq!(expected, header.file_len, "sections must cover the file exactly");
 }
 
-// --- corruption: every byte matters, on both decode paths -----------------
+// --- corruption: every byte matters -----------------------------------------
 
 #[test]
 fn every_flipped_byte_fails_with_a_typed_error() {
@@ -275,14 +285,10 @@ fn every_flipped_byte_fails_with_a_typed_error() {
         bad[at] ^= 0xff;
         // Calling through — any panic fails the test; any Ok means a
         // corrupted file was silently accepted.
-        let err = Snapshot::from_bytes(&bad)
-            .err()
-            .unwrap_or_else(|| panic!("flipping byte {at} was not detected (owned)"));
-        // Every variant has a Display line; render it to exercise them all.
-        let _ = err.to_string();
         let err = SnapshotView::from_bytes(bad)
             .err()
-            .unwrap_or_else(|| panic!("flipping byte {at} was not detected (view)"));
+            .unwrap_or_else(|| panic!("flipping byte {at} was not detected"));
+        // Every variant has a Display line; render it to exercise them all.
         let _ = err.to_string();
     }
 }
@@ -292,19 +298,15 @@ fn every_truncated_prefix_fails_with_a_typed_error() {
     let bytes = small_snapshot().to_bytes();
     for len in 0..bytes.len() {
         assert!(
-            Snapshot::from_bytes(&bytes[..len]).is_err(),
-            "prefix of {len} bytes must not decode (owned)"
-        );
-        assert!(
             SnapshotView::from_bytes(bytes[..len].to_vec()).is_err(),
-            "prefix of {len} bytes must not load (view)"
+            "prefix of {len} bytes must not load"
         );
     }
 }
 
-/// Runs `tamper` over a fresh copy of `bytes` and asserts both decode paths
-/// report an error matching `check`.
-fn assert_both_reject(
+/// Runs `tamper` over a fresh copy of `bytes` and asserts the reader
+/// reports an error matching `check`.
+fn assert_rejects(
     bytes: &[u8],
     tamper: impl Fn(&mut Vec<u8>),
     check: impl Fn(&SnapshotError) -> bool,
@@ -312,28 +314,25 @@ fn assert_both_reject(
 ) {
     let mut bad = bytes.to_vec();
     tamper(&mut bad);
-    let err = Snapshot::from_bytes(&bad).unwrap_err();
-    assert!(check(&err), "{what} (owned): got {err:?}");
     let err = SnapshotView::from_bytes(bad).unwrap_err();
-    assert!(check(&err), "{what} (view): got {err:?}");
+    assert!(check(&err), "{what}: got {err:?}");
 }
 
 #[test]
 fn frame_level_errors_are_typed() {
     let bytes = small_snapshot().to_bytes();
 
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[0] = b'X',
         |e| matches!(e, SnapshotError::BadMagic),
         "foreign magic",
     );
-    assert!(matches!(Snapshot::from_bytes(b""), Err(SnapshotError::BadMagic)));
     assert!(matches!(SnapshotView::from_bytes(Vec::new()), Err(SnapshotError::BadMagic)));
 
     // A version-1 file: same MBSNAP family, older layout. Rejected from the
     // magic alone — the reader never guesses at the old framing.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[..8].copy_from_slice(b"MBSNAP01"),
         |e| {
@@ -344,7 +343,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // A future version stamped in the header's version field.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes()),
         |e| {
@@ -355,7 +354,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // A wrong section count.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[12..16].copy_from_slice(&9u32.to_le_bytes()),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
@@ -363,7 +362,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // An id the format does not define, in the first table slot.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[entry_at(0)..entry_at(0) + 4].copy_from_slice(&99u32.to_le_bytes()),
         |e| matches!(e, SnapshotError::UnknownSection { id: 99 }),
@@ -371,7 +370,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // Known sections out of canonical order.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| {
             b[entry_at(0)..entry_at(0) + 4].copy_from_slice(&MEMBERS.to_le_bytes());
@@ -382,7 +381,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // A nonzero reserved field.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[entry_at(2) + 4..entry_at(2) + 8].copy_from_slice(&1u32.to_le_bytes()),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
@@ -391,7 +390,7 @@ fn frame_level_errors_are_typed() {
 
     // A section whose declared length overruns the file reports how much is
     // missing rather than reading out of bounds.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[entry_at(3) + 16..entry_at(3) + 24].copy_from_slice(&u64::MAX.to_le_bytes()),
         |e| matches!(e, SnapshotError::Truncated { section: "splits", .. }),
@@ -399,7 +398,7 @@ fn frame_level_errors_are_typed() {
     );
 
     // Garbage after the last section's padded payload.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b.extend_from_slice(&[0u8; 8]),
         |e| matches!(e, SnapshotError::TrailingBytes { section: "frame", bytes: 8 }),
@@ -412,8 +411,8 @@ fn misaligned_and_displaced_sections_are_rejected() {
     let bytes = small_snapshot().to_bytes();
 
     // An offset that breaks the 8-byte alignment guarantee — the exact
-    // property the zero-copy loader borrows arrays on.
-    assert_both_reject(
+    // property the reader borrows arrays on.
+    assert_rejects(
         &bytes,
         |b| {
             let at = entry_at(1) + 8;
@@ -425,7 +424,7 @@ fn misaligned_and_displaced_sections_are_rejected() {
     );
 
     // Aligned but displaced: payloads must be contiguous in table order.
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| {
             let at = entry_at(1) + 8;
@@ -444,7 +443,7 @@ fn checksum_and_padding_violations_are_rejected() {
 
     // A payload byte flip behind an unpatched checksum names the section.
     let meta = &header.sections[0];
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| b[meta.offset as usize] ^= 0xff,
         |e| matches!(e, SnapshotError::ChecksumMismatch { section: "meta" }),
@@ -457,7 +456,7 @@ fn checksum_and_padding_violations_are_rejected() {
     let (start, len, padded_len) =
         (padded.offset as usize, padded.len as usize, padded.padded_len as usize);
     let entry = entry_at(padded.id as usize - 1);
-    assert_both_reject(
+    assert_rejects(
         &bytes,
         |b| {
             b[start + len] = 1;
@@ -474,31 +473,23 @@ fn checksum_valid_payload_corruption_is_still_detected() {
     let snapshot = small_snapshot();
 
     // A members-vector claiming u32::MAX entries must fail on the declared
-    // length, not attempt a 16 GiB allocation — on either path.
+    // length, not attempt a 16 GiB allocation.
     let big_count = |p: &mut Vec<u8>| p[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-    let err = decode_with(&snapshot, MEMBERS, big_count).unwrap_err();
-    assert!(matches!(err, SnapshotError::Truncated { section: "members", .. }));
     let err = view_with(&snapshot, MEMBERS, big_count).unwrap_err();
     assert!(matches!(err, SnapshotError::Truncated { section: "members", .. }));
 
     // Trailing garbage after a fully-decoded payload.
-    let err = decode_with(&snapshot, BLOCKKEYS, |p| p.push(0)).unwrap_err();
-    assert!(matches!(err, SnapshotError::TrailingBytes { section: "blockkeys", bytes: 1 }));
     let err = view_with(&snapshot, BLOCKKEYS, |p| p.push(0)).unwrap_err();
     assert!(matches!(err, SnapshotError::TrailingBytes { section: "blockkeys", bytes: 1 }));
 
-    // A non-UTF-8 token byte: the owned decoder builds `String`s and
-    // catches it. (The view deliberately skips UTF-8 — probe lookups
-    // byte-compare — so this is an owned-path-only guarantee.)
-    let err = decode_with(&snapshot, TOK_BLOB, |p| {
+    // A non-UTF-8 token byte.
+    let err = view_with(&snapshot, TOK_BLOB, |p| {
         *p.last_mut().unwrap() = 0xff;
     })
     .unwrap_err();
-    assert!(matches!(err, SnapshotError::Utf8 { section: "tokblob" }));
+    assert!(matches!(err, SnapshotError::Utf8 { section: "tokblob" }), "{err:?}");
 
     // An undefined ER-kind tag.
-    let err = decode_with(&snapshot, META, |p| p[0] = 7).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
     let err = view_with(&snapshot, META, |p| p[0] = 7).unwrap_err();
     assert!(matches!(err, SnapshotError::Inconsistent(_)));
 
@@ -507,17 +498,16 @@ fn checksum_valid_payload_corruption_is_still_detected() {
         let cnp = u64::from_le_bytes(p[24..32].try_into().unwrap());
         p[24..32].copy_from_slice(&(cnp + 1).to_le_bytes());
     };
-    let err = decode_with(&snapshot, META, bump_cnp).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
     let err = view_with(&snapshot, META, bump_cnp).unwrap_err();
     assert!(matches!(err, SnapshotError::Inconsistent(_)));
 
-    // A block key pointing at a u32::MAX-adjacent token id.
-    let wild_key = |p: &mut Vec<u8>| p[4..8].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
-    let err = decode_with(&snapshot, BLOCKKEYS, wild_key).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
-    let err = view_with(&snapshot, BLOCKKEYS, wild_key).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
+    // A block key pointing at a u32::MAX-adjacent token id, and one at the
+    // very edge of the id space.
+    for key in [u32::MAX - 1, u32::MAX] {
+        let wild_key = |p: &mut Vec<u8>| p[4..8].copy_from_slice(&key.to_le_bytes());
+        let err = view_with(&snapshot, BLOCKKEYS, wild_key).unwrap_err();
+        assert!(matches!(err, SnapshotError::Inconsistent(_)), "key {key}: {err:?}");
+    }
 
     // A corrupted byte-order permutation: swap its first two entries.
     let swap_sorted = |p: &mut Vec<u8>| {
@@ -525,17 +515,11 @@ fn checksum_valid_payload_corruption_is_still_detected() {
         p[4..8].copy_from_slice(&b.to_le_bytes());
         p[8..12].copy_from_slice(&a.to_le_bytes());
     };
-    let err = decode_with(&snapshot, TOK_SORTED, swap_sorted).unwrap_err();
-    assert!(matches!(err, SnapshotError::Inconsistent(_)));
     let err = view_with(&snapshot, TOK_SORTED, swap_sorted).unwrap_err();
     assert!(matches!(err, SnapshotError::Inconsistent(_)));
 
-    // A structurally-invalid arena: the offsets table must start at 0. The
-    // owned path reports it through the model sanitizer, the view through
-    // its own structural walk.
+    // A structurally-invalid arena: the offsets table must start at 0.
     let shift_offsets = |p: &mut Vec<u8>| p[4..8].copy_from_slice(&1u32.to_le_bytes());
-    let err = decode_with(&snapshot, OFFSETS, shift_offsets).unwrap_err();
-    assert!(matches!(err, SnapshotError::Structural(_)));
     let err = view_with(&snapshot, OFFSETS, shift_offsets).unwrap_err();
     assert!(matches!(err, SnapshotError::Inconsistent(_)));
 }
@@ -553,9 +537,7 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
     for section in [OFFSETS, INDEX_OFFSETS] {
         let vault = |p: &mut Vec<u8>| p[8..12].copy_from_slice(&wild);
         let err = view_with(&snapshot, section, vault).unwrap_err();
-        assert!(matches!(err, SnapshotError::Inconsistent(_)), "view {section}: {err:?}");
-        // The owned decoder re-sanitizes the arena and rejects it too.
-        decode_with(&snapshot, section, vault).unwrap_err();
+        assert!(matches!(err, SnapshotError::Inconsistent(_)), "section {section}: {err:?}");
     }
 
     // Swapping two members inside one block run breaks strict ascension in
@@ -571,8 +553,6 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
         p[at..at + 4].copy_from_slice(&b.to_le_bytes());
         p[at + 4..at + 8].copy_from_slice(&a.to_le_bytes());
     };
-    // (View-path guarantee only: the owned decoder's sanitizer tolerates
-    // unsorted members, while the view's binary probes depend on order.)
     let err = view_with(&snapshot, MEMBERS, swap_pair).unwrap_err();
     assert!(matches!(err, SnapshotError::Inconsistent(_)), "members swap: {err:?}");
 
@@ -591,73 +571,150 @@ fn wild_mid_table_offsets_and_swapped_run_interiors_are_typed_errors() {
     assert!(matches!(err, SnapshotError::Inconsistent(_)), "postings swap: {err:?}");
 }
 
-// --- from_parts -----------------------------------------------------------
+// --- cross-section consistency ------------------------------------------
 
-#[test]
-fn from_parts_accepts_valid_state_and_reproduces_identical_bytes() {
-    let snapshot = small_snapshot();
-    let rebuilt = Snapshot::from_parts(
-        snapshot.blocks().clone(),
-        snapshot.index().clone(),
-        snapshot.split(),
-        snapshot.tokens().to_vec(),
-        snapshot.block_keys().to_vec(),
-        *snapshot.config(),
-    )
-    .unwrap();
-    assert_eq!(rebuilt.to_bytes(), snapshot.to_bytes());
+/// Re-frames `snapshot` with its vocabulary replaced by `tokens`: the
+/// offset table and blob are rewritten consistently (checksums valid), the
+/// byte-order permutation is kept as built.
+fn with_tokens(snapshot: &Snapshot, tokens: &[&str]) -> Vec<u8> {
+    let mut sections = parse_frame(&snapshot.to_bytes());
+    let mut offsets = (tokens.len() as u32 + 1).to_le_bytes().to_vec();
+    let mut at = 0u32;
+    offsets.extend_from_slice(&at.to_le_bytes());
+    for t in tokens {
+        at += t.len() as u32;
+        offsets.extend_from_slice(&at.to_le_bytes());
+    }
+    let blob = tokens.concat();
+    let mut blob_payload = (blob.len() as u32).to_le_bytes().to_vec();
+    blob_payload.extend_from_slice(blob.as_bytes());
+    for (id, payload) in sections.iter_mut() {
+        match *id {
+            TOK_OFFSETS => *payload = offsets.clone(),
+            TOK_BLOB => *payload = blob_payload.clone(),
+            _ => {}
+        }
+    }
+    build_frame(&sections)
 }
 
 #[test]
-fn from_parts_rejects_inconsistent_inputs() {
-    let s = small_snapshot();
-    let parts = || {
-        (
-            s.blocks().clone(),
-            s.index().clone(),
-            s.split(),
-            s.tokens().to_vec(),
-            s.block_keys().to_vec(),
-            *s.config(),
-        )
+fn inconsistent_vocabulary_and_provenance_are_rejected() {
+    let snapshot = small_snapshot();
+    let tokens: Vec<&str> = snapshot.tokens().iter().map(String::as_str).collect();
+    let rejects = |bytes: Vec<u8>, what: &str| {
+        let err = SnapshotView::from_bytes(bytes).unwrap_err();
+        assert!(matches!(err, SnapshotError::Inconsistent(_)), "{what}: got {err:?}");
     };
-
-    // Wrong number of block keys.
-    let (b, i, sp, t, mut k, c) = parts();
-    k.pop();
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
-
-    // A key at the edge of the id space with a tiny vocabulary.
-    let (b, i, sp, t, mut k, c) = parts();
-    k[0] = u32::MAX;
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
-
-    // Duplicate provenance: two blocks claiming the same token.
-    let (b, i, sp, t, mut k, c) = parts();
-    k[1] = k[0];
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
+    // The unchanged vocabulary re-framed through the helper loads.
+    SnapshotView::from_bytes(with_tokens(&snapshot, &tokens)).unwrap();
 
     // A duplicated vocabulary entry.
-    let (b, i, sp, mut t, k, c) = parts();
-    t[1] = t[0].clone();
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
+    let mut dup = tokens.clone();
+    dup[1] = dup[0];
+    rejects(with_tokens(&snapshot, &dup), "duplicated token");
 
     // An empty token cannot survive the offset-delimited blob layout.
-    let (b, i, sp, mut t, k, c) = parts();
-    t[0] = String::new();
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Inconsistent(_))));
+    let mut empty = tokens.clone();
+    empty[0] = "";
+    rejects(with_tokens(&snapshot, &empty), "empty token");
+
+    // Wrong number of block keys.
+    let drop_key = |p: &mut Vec<u8>| {
+        let count = u32_at(p, 0) - 1;
+        p[0..4].copy_from_slice(&count.to_le_bytes());
+        p.truncate(p.len() - 4);
+    };
+    rejects(corrupt(&snapshot, BLOCKKEYS, drop_key), "missing block key");
+
+    // Duplicate provenance: two blocks claiming the same token.
+    let dup_key = |p: &mut Vec<u8>| {
+        let first = u32_at(p, 4);
+        p[8..12].copy_from_slice(&first.to_le_bytes());
+    };
+    rejects(corrupt(&snapshot, BLOCKKEYS, dup_key), "duplicate block key");
 
     // A Dirty snapshot must have split == |E|.
-    let (b, i, sp, t, k, c) = parts();
-    assert!(matches!(
-        Snapshot::from_parts(b, i, sp - 1, t, k, c),
-        Err(SnapshotError::Inconsistent(_))
-    ));
+    let shrink_split = |p: &mut Vec<u8>| {
+        let split = u64::from_le_bytes(p[16..24].try_into().unwrap());
+        p[16..24].copy_from_slice(&(split - 1).to_le_bytes());
+    };
+    rejects(corrupt(&snapshot, META, shrink_split), "Dirty split below |E|");
 
-    // An invalid configuration.
-    let (b, i, sp, t, k, mut c) = parts();
-    c.filter_ratio = Some(2.0);
-    assert!(matches!(Snapshot::from_parts(b, i, sp, t, k, c), Err(SnapshotError::Config(_))));
+    // An invalid pipeline configuration.
+    let bad_config = |p: &mut Vec<u8>| {
+        let json = std::str::from_utf8(&p[60..]).unwrap();
+        assert!(json.contains("\"filter_ratio\":null"), "{json}");
+        let json = json.replace("\"filter_ratio\":null", "\"filter_ratio\":2.0");
+        p.truncate(56);
+        p.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        p.extend_from_slice(json.as_bytes());
+    };
+    let err = view_with(&snapshot, META, bad_config).unwrap_err();
+    assert!(matches!(err, SnapshotError::Config(_)), "invalid config: got {err:?}");
+}
+
+#[test]
+fn swapped_entity_posting_runs_are_a_structural_error() {
+    // Every count, bracket and per-run order stays valid when two entities
+    // trade posting runs; only the index ↔ arena transpose walk notices
+    // that the index now serves the wrong candidates.
+    let snapshot = small_snapshot();
+    let (lists, offsets) = snapshot.index().raw_parts();
+    let run = |e: usize| lists[offsets[e] as usize..offsets[e + 1] as usize].to_vec();
+    let (run0, run3) = (run(0), run(3));
+    assert_ne!(run0, run3, "fixture entities 0 and 3 must sit in different blocks");
+    let mut swapped_lists = run3.clone();
+    swapped_lists.extend_from_slice(&lists[offsets[1] as usize..offsets[3] as usize]);
+    swapped_lists.extend_from_slice(&run0);
+    swapped_lists.extend_from_slice(&lists[offsets[4] as usize..]);
+    let mut swapped_offsets = offsets.to_vec();
+    for o in &mut swapped_offsets[1..4] {
+        *o = *o + run3.len() as u32 - run0.len() as u32;
+    }
+    let u32_payload = |values: &[u32]| {
+        let mut p = (values.len() as u32).to_le_bytes().to_vec();
+        for v in values {
+            p.extend_from_slice(&v.to_le_bytes());
+        }
+        p
+    };
+    let mut sections = parse_frame(&snapshot.to_bytes());
+    for (id, payload) in sections.iter_mut() {
+        match *id {
+            LISTS => *payload = u32_payload(&swapped_lists),
+            INDEX_OFFSETS => *payload = u32_payload(&swapped_offsets),
+            _ => {}
+        }
+    }
+    let err = SnapshotView::from_bytes(build_frame(&sections)).unwrap_err();
+    let SnapshotError::Structural(v) = &err else { panic!("expected a structural error: {err:?}") };
+    // Walking block 0, entity 0's next posting is entity 3's first block.
+    assert_eq!(v.invariant, "missing-assignment", "{err}");
+    assert!(v.message.starts_with("entity 0: block 0 contains it"), "{err}");
+}
+
+#[test]
+fn token_offsets_inside_a_character_are_rejected() {
+    // "josé" ends in a two-byte character: moving the boundary after it one
+    // byte left leaves the blob valid UTF-8 as a whole, but splits the
+    // character between two tokens.
+    let e = EntityCollection::dirty(vec![
+        EntityProfile::new("p1").with("name", "josé zé"),
+        EntityProfile::new("p2").with("name", "josé zé"),
+    ]);
+    let snapshot = Snapshot::build(&e, config(WeightingScheme::Cbs, None)).unwrap();
+    SnapshotView::from_bytes(snapshot.to_bytes()).unwrap();
+    let tokens = snapshot.tokens();
+    let id = tokens.iter().position(|t| t == "josé").expect("josé is a token");
+    let split_char = |p: &mut Vec<u8>| {
+        let at = 4 + (id + 1) * 4;
+        let end = u32_at(p, at) - 1;
+        p[at..at + 4].copy_from_slice(&end.to_le_bytes());
+    };
+    assert!(id + 1 < tokens.len(), "josé must not be the last token");
+    let err = view_with(&snapshot, TOK_OFFSETS, split_char).unwrap_err();
+    assert!(matches!(err, SnapshotError::Utf8 { section: "tokblob" }), "{err:?}");
 }
 
 // --- write-ahead delta runs: hostile input --------------------------------
@@ -708,22 +765,26 @@ fn valid_delta_run() -> Vec<u8> {
     run
 }
 
-fn both_reject_delta(bytes: Vec<u8>, check: impl Fn(&SnapshotError) -> bool, what: &str) {
-    let err = Snapshot::from_bytes(&bytes).unwrap_err();
-    assert!(check(&err), "{what} (owned): got {err:?}");
+fn rejects_delta(bytes: Vec<u8>, check: impl Fn(&SnapshotError) -> bool, what: &str) {
     let err = SnapshotView::from_bytes(bytes).unwrap_err();
-    assert!(check(&err), "{what} (view): got {err:?}");
+    assert!(check(&err), "{what}: got {err:?}");
 }
 
 #[test]
-fn delta_carrying_files_decode_on_both_paths() {
+fn delta_carrying_files_decode() {
     let bytes = with_delta_payloads(&[valid_delta_run()]);
-    let owned = Snapshot::from_bytes(&bytes).unwrap();
-    assert_eq!(owned.delta_runs().len(), 1);
-    assert_eq!(owned.delta_runs()[0].len(), 2);
     let view = SnapshotView::from_bytes(bytes).unwrap();
     assert_eq!(view.delta_runs().len(), 1);
-    assert_eq!(view.delta_runs()[0], owned.delta_runs()[0]);
+    assert_eq!(
+        view.delta_runs()[0],
+        vec![
+            DeltaOp::Upsert {
+                id: 4,
+                profile: EntityProfile::new("p5").with("name", "jack vendor")
+            },
+            DeltaOp::Delete { id: 0 },
+        ]
+    );
 }
 
 #[test]
@@ -732,13 +793,9 @@ fn every_flipped_byte_of_a_delta_carrying_file_fails_with_a_typed_error() {
     for at in 0..bytes.len() {
         let mut bad = bytes.clone();
         bad[at] ^= 0xff;
-        let err = Snapshot::from_bytes(&bad)
-            .err()
-            .unwrap_or_else(|| panic!("flipping byte {at} was not detected (owned)"));
-        let _ = err.to_string();
         let err = SnapshotView::from_bytes(bad)
             .err()
-            .unwrap_or_else(|| panic!("flipping byte {at} was not detected (view)"));
+            .unwrap_or_else(|| panic!("flipping byte {at} was not detected"));
         let _ = err.to_string();
     }
 }
@@ -748,12 +805,8 @@ fn every_truncated_prefix_of_a_delta_carrying_file_fails() {
     let bytes = with_delta_payloads(&[valid_delta_run()]);
     for len in 0..bytes.len() {
         assert!(
-            Snapshot::from_bytes(&bytes[..len]).is_err(),
-            "prefix of {len} bytes must not decode (owned)"
-        );
-        assert!(
             SnapshotView::from_bytes(bytes[..len].to_vec()).is_err(),
-            "prefix of {len} bytes must not load (view)"
+            "prefix of {len} bytes must not load"
         );
     }
 }
@@ -764,7 +817,7 @@ fn hostile_delta_runs_are_typed_errors() {
     let mut run = Vec::new();
     run.extend_from_slice(&1u32.to_le_bytes());
     delta_delete(&mut run, 9);
-    both_reject_delta(
+    rejects_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "tombstone of unknown entity",
@@ -778,7 +831,7 @@ fn hostile_delta_runs_are_typed_errors() {
     let mut second = Vec::new();
     second.extend_from_slice(&1u32.to_le_bytes());
     delta_delete(&mut second, 0);
-    both_reject_delta(
+    rejects_delta(
         with_delta_payloads(&[first, second]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "overlapping delta runs double-deleting",
@@ -788,7 +841,7 @@ fn hostile_delta_runs_are_typed_errors() {
     let mut run = Vec::new();
     run.extend_from_slice(&1u32.to_le_bytes());
     delta_upsert(&mut run, 6, "hole", &[]);
-    both_reject_delta(
+    rejects_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "upsert past the append point",
@@ -798,14 +851,14 @@ fn hostile_delta_runs_are_typed_errors() {
     let mut run = Vec::new();
     run.extend_from_slice(&1u32.to_le_bytes());
     delta_upsert(&mut run, u32::MAX, "sentinel", &[]);
-    both_reject_delta(
+    rejects_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "persisted append sentinel",
     );
 
     // An inflated op count fails before allocating.
-    both_reject_delta(
+    rejects_delta(
         with_delta_payloads(&[u32::MAX.to_le_bytes().to_vec()]),
         |e| matches!(e, SnapshotError::Truncated { section: "delta", .. }),
         "inflated delta op count",
@@ -816,7 +869,7 @@ fn hostile_delta_runs_are_typed_errors() {
     run.extend_from_slice(&1u32.to_le_bytes());
     run.push(7);
     run.extend_from_slice(&0u32.to_le_bytes());
-    both_reject_delta(
+    rejects_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::Inconsistent(_)),
         "unknown delta op tag",
@@ -825,7 +878,7 @@ fn hostile_delta_runs_are_typed_errors() {
     // Trailing garbage after the last op.
     let mut run = valid_delta_run();
     run.push(0xff);
-    both_reject_delta(
+    rejects_delta(
         with_delta_payloads(&[run]),
         |e| matches!(e, SnapshotError::TrailingBytes { section: "delta", .. }),
         "trailing bytes after delta ops",
@@ -834,7 +887,7 @@ fn hostile_delta_runs_are_typed_errors() {
     // A delta section may not appear *before* the canonical ten.
     let mut sections = parse_frame(&small_snapshot().to_bytes());
     sections.insert(0, (SECTION_DELTA, valid_delta_run()));
-    both_reject_delta(
+    rejects_delta(
         build_frame(&sections),
         |e| !matches!(e, SnapshotError::Io(_)),
         "delta section displacing the canonical order",
@@ -847,5 +900,5 @@ fn hostile_delta_runs_are_typed_errors() {
     delta_upsert(&mut run, 0, "revived", &[("name", "back again")]);
     delta_delete(&mut run, 0);
     let bytes = with_delta_payloads(&[run]);
-    assert_eq!(Snapshot::from_bytes(&bytes).unwrap().delta_runs()[0].len(), 3);
+    assert_eq!(SnapshotView::from_bytes(bytes).unwrap().delta_runs()[0].len(), 3);
 }

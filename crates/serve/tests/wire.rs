@@ -10,7 +10,9 @@ use mb_core::{PipelineConfig, Retention};
 use mb_serve::protocol::{
     read_frame, read_hello, write_frame, MSG_ERROR, MSG_REQUEST, WIRE_MAGIC, WIRE_VERSION,
 };
-use mb_serve::{CandidateRequest, Client, ServeError, Server, ServerConfig, Snapshot};
+use mb_serve::{
+    CandidateRequest, Client, ServeError, Server, ServerConfig, Snapshot, SnapshotView,
+};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -26,6 +28,12 @@ fn variant_snapshot(variant: usize) -> Snapshot {
         profiles.push(EntityProfile::new(format!("p{i}")).with("name", text));
     }
     Snapshot::build(&EntityCollection::dirty(profiles), PipelineConfig::default()).unwrap()
+}
+
+/// Loads a built snapshot's bytes through the reader, as a server start
+/// does.
+fn view(snapshot: Snapshot) -> SnapshotView {
+    SnapshotView::from_bytes(snapshot.to_bytes()).unwrap()
 }
 
 fn quick_config() -> ServerConfig {
@@ -48,7 +56,7 @@ fn query_reload_requery_shutdown_round_trip() {
     let next_path = dir.join("next.mbsnap");
     variant_snapshot(1).write_to(&next_path).unwrap();
 
-    let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let handle = Server::start(view(variant_snapshot(0)), quick_config()).unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     assert_eq!(client.generation(), 1);
 
@@ -100,7 +108,7 @@ fn trigger_file_reload_swaps_without_a_client() {
     let trigger = dir.join("reload.trigger");
 
     let config = ServerConfig { trigger_path: Some(trigger.clone()), ..quick_config() };
-    let handle = Server::start(variant_snapshot(0), config).unwrap();
+    let handle = Server::start(view(variant_snapshot(0)), config).unwrap();
     assert_eq!(handle.generation(), 1);
 
     // The SIGHUP stand-in: drop the snapshot path into the trigger file and
@@ -157,7 +165,7 @@ fn wrong_version_hello_is_a_typed_handshake_error() {
 
 #[test]
 fn oversized_length_prefix_gets_an_error_frame_not_an_allocation() {
-    let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let handle = Server::start(view(variant_snapshot(0)), quick_config()).unwrap();
     let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
     read_hello(&mut raw).unwrap();
 
@@ -180,7 +188,7 @@ fn oversized_length_prefix_gets_an_error_frame_not_an_allocation() {
 
 #[test]
 fn corrupt_and_unknown_frames_get_typed_errors() {
-    let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let handle = Server::start(view(variant_snapshot(0)), quick_config()).unwrap();
 
     // Bit-flipped payload: checksum mismatch.
     let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
@@ -214,7 +222,7 @@ fn corrupt_and_unknown_frames_get_typed_errors() {
 
 #[test]
 fn mid_stream_disconnect_leaves_the_server_serving() {
-    let handle = Server::start(variant_snapshot(0), quick_config()).unwrap();
+    let handle = Server::start(view(variant_snapshot(0)), quick_config()).unwrap();
 
     // Send half a frame header, then vanish.
     {
@@ -250,7 +258,7 @@ fn upsert_delete_compact_round_trip_over_the_wire() {
     er_io::bundle::save(&bundle_dir, &collection, &er_model::GroundTruth::from_pairs([])).unwrap();
     let snapshot = Snapshot::build(&collection, PipelineConfig::default()).unwrap();
 
-    let handle = Server::start(snapshot, quick_config()).unwrap();
+    let handle = Server::start(view(snapshot), quick_config()).unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     assert_eq!(top1(&mut client), (1, 1));
 
