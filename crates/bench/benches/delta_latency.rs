@@ -22,10 +22,10 @@
 //!   The compacted image must be bit-identical to that fresh build.
 //!
 //! Output: `BENCH_delta.json` at the repository root (override with
-//! `BENCH_OUT`); `validate_delta_json` checks its shape — including the
+//! `BENCH_OUT`); `validate_json` checks its shape — including the
 //! ≥1000× apply-vs-rebuild-path bar — in `scripts/bench.sh`.
 
-use er_bench::dirty_workload;
+use er_bench::{dirty_workload, sample_count, write_bench_json};
 use mb_core::{PipelineConfig, PruningScheme, Retention, WeightingScheme};
 use mb_observe::json::Json;
 use mb_observe::Noop;
@@ -35,14 +35,6 @@ use mb_serve::{
 };
 use std::hint::black_box;
 use std::time::Instant;
-
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLE_SIZE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(5)
-}
 
 fn pct(sorted: &[f64], p: f64) -> f64 {
     sorted[((sorted.len() - 1) as f64 * p) as usize]
@@ -58,8 +50,15 @@ fn main() {
         filter_ratio: Some(0.8),
         ..PipelineConfig::default()
     };
-    let snapshot = Snapshot::build(&workload.collection, config)
-        .unwrap_or_else(|e| panic!("building snapshot: {e}"));
+    let snapshot_bytes = Snapshot::build(&workload.collection, config)
+        .unwrap_or_else(|e| panic!("building snapshot: {e}"))
+        .to_bytes();
+    // A serving cell over the freshly loaded base snapshot, built untimed.
+    let fresh_cell = || {
+        let view = SnapshotView::from_bytes(snapshot_bytes.clone())
+            .unwrap_or_else(|e| panic!("loading snapshot: {e}"));
+        GenerationCell::new(view).unwrap_or_else(|e| panic!("loading generation: {e}"))
+    };
     println!("delta-latency: {n} entities, {samples} rounds");
 
     // The newcomers recycle indexed profiles' text under fresh URIs, so
@@ -96,8 +95,7 @@ fn main() {
     let snap_path = dir.join("rebuild.snap");
     let mut rebuild_path_ms = f64::MAX;
     for _ in 0..samples {
-        let cell = GenerationCell::new(snapshot.clone())
-            .unwrap_or_else(|e| panic!("loading generation: {e}"));
+        let cell = fresh_cell();
         let start = Instant::now();
         let bundle = er_io::bundle::load(&dir).unwrap_or_else(|e| panic!("bundle load: {e}"));
         let rebuilt =
@@ -122,8 +120,7 @@ fn main() {
     let mut query_us: Vec<f64> = Vec::with_capacity(samples * OPS_PER_ROUND);
     let mut total_us: Vec<f64> = Vec::with_capacity(samples * OPS_PER_ROUND);
     for round in 0..samples {
-        let cell = GenerationCell::new(snapshot.clone())
-            .unwrap_or_else(|e| panic!("loading generation: {e}"));
+        let cell = fresh_cell();
         for i in 0..OPS_PER_ROUND {
             let profile = newcomer(round, i);
             let start = Instant::now();
@@ -169,8 +166,7 @@ fn main() {
     );
 
     // --- pinned compaction vs the fresh build it must reproduce -------------
-    let cell =
-        GenerationCell::new(snapshot.clone()).unwrap_or_else(|e| panic!("loading generation: {e}"));
+    let cell = fresh_cell();
     for i in 0..OPS_PER_ROUND {
         cell.apply(DeltaOp::Upsert { id: APPEND, profile: newcomer(samples, i) }, &mut Noop)
             .unwrap_or_else(|e| panic!("compaction seed {i}: {e}"));
@@ -209,18 +205,13 @@ fn main() {
     compaction.push("ops_folded", Json::Uint(ops.len() as u64));
     compaction.push("bit_identical", Json::Bool(bit_identical));
 
-    let mut doc = Json::obj();
-    doc.push("bench", Json::Str("delta_latency".into()));
-    doc.push("workload", Json::Str("d1c-0.1 dirty, filter 0.8, js+cnp".into()));
-    doc.push("entities", Json::Uint(n as u64));
-    doc.push("samples", Json::Uint(samples as u64));
-    doc.push("upsert", upsert);
-    doc.push("compaction", compaction);
-    doc.push("speedup_vs_rebuild", Json::Num(speedup));
-
-    let out = std::env::var("BENCH_OUT").ok().filter(|p| !p.is_empty()).unwrap_or_else(|| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_delta.json").to_string()
-    });
-    std::fs::write(&out, doc.render_pretty()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    let fields = vec![
+        ("samples", Json::Uint(samples as u64)),
+        ("upsert", upsert),
+        ("compaction", compaction),
+        ("speedup_vs_rebuild", Json::Num(speedup)),
+    ];
+    let out = write_bench_json("delta_latency", "d1c-0.1 dirty, filter 0.8, js+cnp", n, fields)
+        .unwrap_or_else(|e| panic!("writing BENCH_delta.json: {e}"));
     println!("wrote {out}");
 }

@@ -12,7 +12,7 @@
 //! Environment knobs: `BENCH_SAMPLE_SIZE` (timed samples per cell,
 //! default 5), `BENCH_OUT` (output path).
 
-use er_bench::clean_workload;
+use er_bench::{clean_workload, sample_count, write_bench_json};
 use mb_core::filter::block_filtering;
 use mb_core::weights::EdgeWeigher;
 use mb_core::{GraphContext, MetaBlocking, PruningScheme, WeightingScheme};
@@ -21,14 +21,6 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLE_SIZE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(5)
-}
 
 /// Times `routine` after one untimed warm-up call.
 fn time_samples(samples: usize, mut routine: impl FnMut()) -> Vec<Duration> {
@@ -100,17 +92,12 @@ fn main() {
         }
     }
 
-    let mut doc = Json::obj();
-    doc.push("bench", Json::Str("pruning_scaling".into()));
-    doc.push("workload", Json::Str("d1c-0.1 clean-clean, block-filtered 0.8".into()));
-    doc.push("entities", Json::Uint(workload.collection.len() as u64));
-    doc.push("detected_cores", Json::Uint(cores as u64));
-    doc.push("samples_per_cell", Json::Uint(samples as u64));
-    doc.push("results", Json::Arr(rows));
-
-    let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pruning.json").to_string()
-    });
-    std::fs::write(&path, doc.render_pretty()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    let path = write_bench_json(
+        "pruning_scaling",
+        "d1c-0.1 clean-clean, block-filtered 0.8",
+        workload.collection.len(),
+        vec![("samples_per_cell", Json::Uint(samples as u64)), ("results", Json::Arr(rows))],
+    )
+    .unwrap_or_else(|e| panic!("writing BENCH_pruning.json: {e}"));
     println!("\nwrote {path}");
 }

@@ -14,23 +14,15 @@
 //!   queries/second.
 //!
 //! Output: `BENCH_query.json` at the repository root (override with
-//! `BENCH_OUT`), with the host's detected core count; `validate_query_json`
+//! `BENCH_OUT`), with the host's detected core count; `validate_json`
 //! checks its shape in `scripts/bench.sh`.
 
-use er_bench::dirty_workload;
+use er_bench::{dirty_workload, sample_count, write_bench_json};
 use mb_core::{Noop, PipelineConfig, PruningScheme, WeightingScheme};
 use mb_observe::json::Json;
 use mb_serve::{CandidateRequest, QueryEngine, Snapshot, SnapshotView};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLE_SIZE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(5)
-}
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -141,22 +133,15 @@ fn main() {
         batch_rows.push(row);
     }
 
-    let mut doc = Json::obj();
-    doc.push("bench", Json::Str("query_latency".into()));
-    doc.push("workload", Json::Str("d1c-0.1 dirty, filter 0.8".into()));
-    doc.push("entities", Json::Uint(n as u64));
-    doc.push("samples", Json::Uint(samples as u64));
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    doc.push("detected_cores", Json::Uint(cores as u64));
-    doc.push("snapshot_bytes", Json::Uint(snapshot_bytes));
-    doc.push("load", load);
-    doc.push("single_query", single);
-    doc.push("batch", Json::Arr(batch_rows));
-
-    let out = std::env::var("BENCH_OUT").ok().filter(|p| !p.is_empty()).unwrap_or_else(|| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json").to_string()
-    });
-    std::fs::write(&out, doc.render_pretty()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    let fields = vec![
+        ("samples", Json::Uint(samples as u64)),
+        ("snapshot_bytes", Json::Uint(snapshot_bytes)),
+        ("load", load),
+        ("single_query", single),
+        ("batch", Json::Arr(batch_rows)),
+    ];
+    let out = write_bench_json("query_latency", "d1c-0.1 dirty, filter 0.8", n, fields)
+        .unwrap_or_else(|e| panic!("writing BENCH_query.json: {e}"));
     std::fs::remove_file(&path).ok();
     println!("wrote {out}");
 }

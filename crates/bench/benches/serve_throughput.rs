@@ -16,23 +16,15 @@
 //!   connection handler's engine rebuild over the new generation.
 //!
 //! Output: `BENCH_serve.json` at the repository root (override with
-//! `BENCH_OUT`); `validate_serve_json` checks its shape in
+//! `BENCH_OUT`); `validate_json` checks its shape in
 //! `scripts/bench.sh`.
 
-use er_bench::dirty_workload;
+use er_bench::{dirty_workload, sample_count, write_bench_json};
 use mb_core::{PipelineConfig, PruningScheme, WeightingScheme};
 use mb_observe::json::Json;
-use mb_serve::{CandidateRequest, Client, Server, ServerConfig, Snapshot};
+use mb_serve::{CandidateRequest, Client, Server, ServerConfig, Snapshot, SnapshotView};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLE_SIZE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(5)
-}
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -53,7 +45,9 @@ fn main() {
     let reload_path = std::env::temp_dir().join("er_bench_serve.mbsnap");
     snapshot.write_to(&reload_path).unwrap_or_else(|e| panic!("writing snapshot: {e}"));
 
-    let handle = Server::start(snapshot, ServerConfig::default())
+    let view = SnapshotView::from_bytes(snapshot.to_bytes())
+        .unwrap_or_else(|e| panic!("loading snapshot: {e}"));
+    let handle = Server::start(view, ServerConfig::default())
         .unwrap_or_else(|e| panic!("starting server: {e}"));
     let addr = handle.local_addr();
     let mut client = Client::connect(addr).unwrap_or_else(|e| panic!("connecting {addr}: {e}"));
@@ -131,20 +125,15 @@ fn main() {
     let served = report.counter_total(mb_observe::Counter::RequestsServed);
     println!("     shutdown: generation {final_generation}, {served} requests served");
 
-    let mut doc = Json::obj();
-    doc.push("bench", Json::Str("serve_throughput".into()));
-    doc.push("workload", Json::Str("d1c-0.1 dirty, filter 0.8, js+cnp".into()));
-    doc.push("entities", Json::Uint(n as u64));
-    doc.push("samples", Json::Uint(samples as u64));
-    doc.push("final_generation", Json::Uint(final_generation));
-    doc.push("requests_served", Json::Uint(served));
-    doc.push("round_trip", round_trip);
-    doc.push("reload", reload);
-
-    let out = std::env::var("BENCH_OUT").ok().filter(|p| !p.is_empty()).unwrap_or_else(|| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json").to_string()
-    });
-    std::fs::write(&out, doc.render_pretty()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    let fields = vec![
+        ("samples", Json::Uint(samples as u64)),
+        ("final_generation", Json::Uint(final_generation)),
+        ("requests_served", Json::Uint(served)),
+        ("round_trip", round_trip),
+        ("reload", reload),
+    ];
+    let out = write_bench_json("serve_throughput", "d1c-0.1 dirty, filter 0.8, js+cnp", n, fields)
+        .unwrap_or_else(|e| panic!("writing BENCH_serve.json: {e}"));
     std::fs::remove_file(&reload_path).ok();
     println!("wrote {out}");
 }

@@ -10,10 +10,12 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod validate;
 
 use er_blocking::{purging, BlockingMethod, TokenBlocking};
 use er_datagen::presets;
 use er_model::{BlockCollection, EntityCollection, GroundTruth};
+use mb_observe::json::Json;
 
 /// A ready-to-bench workload.
 pub struct Workload {
@@ -62,6 +64,46 @@ pub fn clean_workload() -> Workload {
 pub fn dirty_workload() -> Workload {
     let d = bench_dataset().into_dirty();
     blocked(d.collection, d.ground_truth)
+}
+
+/// Timed samples per bench cell: `BENCH_SAMPLE_SIZE`, at least 1, default 5.
+pub fn sample_count() -> usize {
+    std::env::var("BENCH_SAMPLE_SIZE")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .map(|n| n.max(1))
+        .unwrap_or(5)
+}
+
+/// Writes a bench document and returns the path written: to `BENCH_OUT`,
+/// or — when that is unset or empty — to `BENCH_<stem>.json` at the
+/// repository root, `<stem>` being `bench` up to its first `_`
+/// (`query_latency` → `BENCH_query.json`).
+///
+/// The document opens with the header every [`validate`] table checks —
+/// `bench`, `workload`, `entities` and the host's `detected_cores` — and
+/// continues with `fields` in order.
+pub fn write_bench_json(
+    bench: &str,
+    workload: &str,
+    entities: usize,
+    fields: Vec<(&str, Json)>,
+) -> std::io::Result<String> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut doc = Json::obj();
+    doc.push("bench", Json::Str(bench.into()));
+    doc.push("workload", Json::Str(workload.into()));
+    doc.push("entities", Json::Uint(entities as u64));
+    doc.push("detected_cores", Json::Uint(cores as u64));
+    for (key, value) in fields {
+        doc.push(key, value);
+    }
+    let path = std::env::var("BENCH_OUT").ok().filter(|p| !p.is_empty()).unwrap_or_else(|| {
+        let stem = bench.split('_').next().unwrap_or(bench);
+        format!("{}/../../BENCH_{stem}.json", env!("CARGO_MANIFEST_DIR"))
+    });
+    std::fs::write(&path, doc.render_pretty())?;
+    Ok(path)
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! half-applied op.
 
 use er_model::{EntityCollection, EntityId, EntityProfile};
-use mb_core::incremental::{IncrementalConfig, IncrementalMetaBlocking};
 use mb_core::{Noop, PipelineConfig, Retention, WeightingScheme};
 use mb_serve::{
     append_delta_run, merge_ops, CandidateRequest, DeltaOp, GenerationCell, QueryEngine, Snapshot,
@@ -111,19 +110,24 @@ fn delta_answers_match_a_from_scratch_rebuild() {
     // rebuild ids, while the overlay keeps ids stable via tombstones — the
     // two worlds are only id-comparable without removals). The replacement
     // keeps every token's occurrence count >= 2 so no block degenerates.
+    // Two appends, so an append also lands beside an earlier appended
+    // entity that lives only in the overlay.
     let new5 = EntityProfile::new("p5").with("name", "jack stone");
+    let new6 = EntityProfile::new("p6").with("name", "jack stone lloyd");
     let new2 = EntityProfile::new("p2").with("name", "erick lloyd stone");
     for scheme in
         [WeightingScheme::Cbs, WeightingScheme::Ecbs, WeightingScheme::Js, WeightingScheme::Arcs]
     {
         let cell = GenerationCell::new(base_snapshot(scheme)).unwrap();
         cell.apply(DeltaOp::Upsert { id: APPEND, profile: new5.clone() }, &mut Noop).unwrap();
+        cell.apply(DeltaOp::Upsert { id: APPEND, profile: new6.clone() }, &mut Noop).unwrap();
         cell.apply(DeltaOp::Upsert { id: 2, profile: new2.clone() }, &mut Noop).unwrap();
         let generation = cell.load();
         let mut live = QueryEngine::from_generation(&generation);
 
         let mut merged = base_profiles();
         merged.push(new5.clone());
+        merged.push(new6.clone());
         merged[2] = new2.clone();
         let rebuilt = view_of(
             Snapshot::build(
@@ -134,7 +138,7 @@ fn delta_answers_match_a_from_scratch_rebuild() {
         );
         let mut fresh = QueryEngine::from_view(&rebuilt);
 
-        for id in 0..6 {
+        for id in 0..7 {
             assert_eq!(
                 weighted_candidates_of(&mut live, id),
                 weighted_candidates_of(&mut fresh, id),
@@ -237,28 +241,42 @@ fn profile_of(op: &DeltaOp) -> &EntityProfile {
 
 #[test]
 fn query_after_upsert_agrees_with_streaming_metablocking() {
-    // Cross-validation against the incremental pipeline: feed the same
-    // profiles to `IncrementalMetaBlocking` and to a snapshot + delta
-    // engine; the newcomer's CBS neighborhood must be the same set.
-    let profiles = base_profiles();
+    // Cross-validation against incremental ER: stream the same profiles,
+    // one append at a time, into an empty Dirty snapshot (the way
+    // tests/incremental.rs and examples/incremental_stream.rs run it) and
+    // compare the newcomer's neighborhood with a snapshot + delta engine
+    // that holds the base profiles in its arena. The two overlays start
+    // from different bases, so their answers must agree bit for bit.
     let newcomer = EntityProfile::new("p5").with("name", "jack stone lloyd");
+    for scheme in
+        [WeightingScheme::Cbs, WeightingScheme::Ecbs, WeightingScheme::Js, WeightingScheme::Arcs]
+    {
+        let config = PipelineConfig { weighting: scheme, ..PipelineConfig::default() };
+        let empty = Snapshot::build(&EntityCollection::dirty(Vec::new()), config).unwrap();
+        let stream = GenerationCell::new(view_of(empty)).unwrap();
+        for profile in base_profiles().into_iter().chain([newcomer.clone()]) {
+            stream.apply(DeltaOp::Upsert { id: APPEND, profile }, &mut Noop).unwrap();
+        }
+        let streamed_gen = stream.load();
+        let mut streamed = QueryEngine::from_generation(&streamed_gen);
 
-    let mut inc = IncrementalMetaBlocking::new(IncrementalConfig {
-        scheme: WeightingScheme::Cbs,
-        k: usize::MAX,
-        max_block_size: usize::MAX,
-    });
-    for p in &profiles {
-        inc.add(p);
+        let cell = GenerationCell::new(base_snapshot(scheme)).unwrap();
+        let upsert = DeltaOp::Upsert { id: APPEND, profile: newcomer.clone() };
+        let applied = cell.apply(upsert, &mut Noop).unwrap();
+        assert_eq!(applied.id, 5);
+        let generation = cell.load();
+        let mut engine = QueryEngine::from_generation(&generation);
+
+        if scheme == WeightingScheme::Cbs {
+            // Shares "jack" with {0, 1}, "stone" with {3, 4}, "lloyd" with {1, 2}.
+            assert_eq!(candidates_of(&mut engine, 5), vec![0, 1, 2, 3, 4]);
+        }
+        assert_eq!(
+            weighted_candidates_of(&mut engine, 5),
+            weighted_candidates_of(&mut streamed, 5),
+            "{scheme:?}: the newcomer's neighborhood diverged from the stream"
+        );
     }
-    let mut streamed: Vec<u32> = inc.add(&newcomer).iter().map(|(old, _)| old.0).collect();
-    streamed.sort_unstable();
-
-    let cell = GenerationCell::new(base_snapshot(WeightingScheme::Cbs)).unwrap();
-    let applied = cell.apply(DeltaOp::Upsert { id: APPEND, profile: newcomer }, &mut Noop).unwrap();
-    let generation = cell.load();
-    let mut engine = QueryEngine::from_generation(&generation);
-    assert_eq!(candidates_of(&mut engine, applied.id), streamed);
 }
 
 #[test]

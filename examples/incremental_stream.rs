@@ -4,21 +4,23 @@
 //! Instead of blocking a complete collection, profiles arrive one at a
 //! time (a crawler, a message queue) and each arrival asks: which of the
 //! already-seen profiles should I be compared with *right now*? The
-//! incremental pipeline answers with the newcomer's top-k weighted
-//! co-occurring profiles, under incremental Token Blocking and an
-//! incremental Block-Purging size cap.
+//! serving layer answers it with the same machinery `er serve` uses for
+//! live upserts: each arrival is appended to an initially empty snapshot
+//! through the delta overlay, and a top-k entity query returns the
+//! newcomer's best-weighted co-occurring profiles.
 //!
 //! ```text
 //! cargo run --release --example incremental_stream
 //! ```
 
 use enhanced_metablocking::datagen::presets;
-use enhanced_metablocking::metablocking::incremental::{
-    IncrementalConfig, IncrementalMetaBlocking,
+use enhanced_metablocking::metablocking::{Noop, PipelineConfig, Retention, WeightingScheme};
+use enhanced_metablocking::model::{EntityCollection, EntityId};
+use mb_serve::{
+    CandidateRequest, DeltaOp, GenerationCell, QueryEngine, Snapshot, SnapshotView, APPEND,
 };
-use enhanced_metablocking::metablocking::WeightingScheme;
 
-fn main() -> enhanced_metablocking::model::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = presets::build(&presets::tiny(5))?.into_dirty();
     let total_duplicates = dataset.ground_truth.len();
     println!(
@@ -27,19 +29,23 @@ fn main() -> enhanced_metablocking::model::Result<()> {
         total_duplicates
     );
 
-    let mut inc = IncrementalMetaBlocking::new(IncrementalConfig {
-        scheme: WeightingScheme::Js,
-        k: 5,
-        max_block_size: 200,
-    });
+    let config = PipelineConfig { weighting: WeightingScheme::Js, ..PipelineConfig::default() };
+    let empty = Snapshot::build(&EntityCollection::dirty(Vec::new()), config)?;
+    let cell = GenerationCell::new(SnapshotView::from_bytes(empty.to_bytes())?)?;
 
     let mut emitted = 0u64;
     let mut found = 0usize;
     let mut checkpoints = vec![];
     for (n, (_, profile)) in dataset.collection.iter().enumerate() {
-        for (a, b) in inc.add(profile) {
+        let upsert = DeltaOp::Upsert { id: APPEND, profile: profile.clone() };
+        let new = EntityId(cell.apply(upsert, &mut Noop)?.id);
+        let generation = cell.load();
+        let request = CandidateRequest::entity(new).with_retention(Retention::TopK(5));
+        let response = QueryEngine::from_generation(&generation).execute(&request, &mut Noop)?;
+        // Every candidate arrived earlier, so no pair is ever emitted twice.
+        for candidate in response.first().map_or(&[][..], |s| &s.candidates) {
             emitted += 1;
-            if dataset.ground_truth.are_duplicates(a, b) {
+            if dataset.ground_truth.are_duplicates(candidate.id, new) {
                 found += 1;
             }
         }

@@ -1,53 +1,40 @@
 #!/usr/bin/env bash
-# The perf-trajectory harness: runs the pruning-scaling bench (every pruning
-# scheme x 1/2/4/8 threads, plus the raw edge-weighting sweep) and the
-# classic pruning + edge-weighting benches on the fixed synthetic workload.
+# The perf-trajectory harness: runs every JSON-writing bench on the fixed
+# synthetic workload, then the classic pruning + edge-weighting benches.
 #
-# Also runs the end-to-end pipeline bench (build -> purge -> filter ->
-# weight -> prune, legacy layout vs CSR arena, wall-ms + allocation counts)
-# and validates the shape of the BENCH_pipeline.json it writes, plus the
-# serving-layer query-latency bench (snapshot load ms, single-query
-# percentiles, batch throughput at 1/2/4/8 threads) which writes and
-# validates BENCH_query.json the same way, and the online-serving bench
-# (wire round-trip p50/p99 + q/s against a live `er serve` instance,
-# client-visible reload pause) which writes and validates BENCH_serve.json,
-# and the incremental-delta bench (live upsert apply/query-after µs
-# percentiles vs the full rebuild path, pinned compaction) which writes and
-# validates BENCH_delta.json — including the ≤1 ms applied-and-queryable
-# and ≥1000× apply-vs-rebuild-path acceptance bars.
+#   pipeline_e2e      BENCH_pipeline.json  build -> purge -> filter -> weight
+#                                          -> prune over the CSR arena,
+#                                          wall-ms + allocation counts
+#   query_latency     BENCH_query.json     snapshot load ms, single-query
+#                                          percentiles, batch throughput at
+#                                          1/2/4/8 threads
+#   serve_throughput  BENCH_serve.json     wire round-trip p50/p99 + q/s
+#                                          against a live `er serve`,
+#                                          client-visible reload pause
+#   delta_latency     BENCH_delta.json     live upsert apply/query-after us
+#                                          percentiles vs the full rebuild
+#                                          path, pinned compaction
+#   pruning_scaling   BENCH_pruning.json   every pruning scheme x 1/2/4/8
+#                                          threads, plus the raw
+#                                          edge-weighting sweep
 #
-# Writes BENCH_pruning.json at the repository root — scheme x threads x
-# wall-ms records plus the machine's detected core count — so the scaling
-# behavior is comparable commit over commit. Speedups are bounded by the
-# cores the machine actually has; the JSON records that bound.
+# Every file lands at the repository root and records the host's detected
+# core count, since speedups are bounded by the cores the machine has. One
+# `validate_json` call then checks all five against their schema tables,
+# including the delta bench's <=1 ms applied-and-queryable and
+# >=1000x apply-vs-rebuild-path acceptance bars.
 #
 # Environment knobs:
 #   BENCH_SAMPLE_SIZE  timed samples per cell (default 5; use 2 for a quick
 #                      run, more for stable numbers)
-#   BENCH_OUT          output path for the pruning JSON (default
-#                      BENCH_pruning.json at the repo root; the pipeline
-#                      bench always writes BENCH_pipeline.json)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> end-to-end pipeline bench (writes BENCH_pipeline.json)"
-BENCH_OUT="" cargo bench -p er-bench --bench pipeline_e2e
-cargo run -q -p er-bench --bin validate_pipeline_json -- BENCH_pipeline.json
-
-echo "==> query-latency bench (writes BENCH_query.json)"
-BENCH_OUT="" cargo bench -p er-bench --bench query_latency
-cargo run -q -p er-bench --bin validate_query_json -- BENCH_query.json
-
-echo "==> online-serving bench (writes BENCH_serve.json)"
-BENCH_OUT="" cargo bench -p er-bench --bench serve_throughput
-cargo run -q -p er-bench --bin validate_serve_json -- BENCH_serve.json
-
-echo "==> incremental-delta bench (writes BENCH_delta.json)"
-BENCH_OUT="" cargo bench -p er-bench --bench delta_latency
-cargo run -q -p er-bench --bin validate_delta_json -- BENCH_delta.json
-
-echo "==> pruning-scaling bench (writes ${BENCH_OUT:-BENCH_pruning.json})"
-cargo bench -p er-bench --bench pruning_scaling
+for bench in pipeline_e2e query_latency serve_throughput delta_latency pruning_scaling; do
+  echo "==> $bench"
+  BENCH_OUT="" cargo bench -p er-bench --bench "$bench"
+done
+cargo run -q -p er-bench --bin validate_json -- BENCH_*.json
 
 echo "==> pruning bench"
 cargo bench -p er-bench --bench pruning

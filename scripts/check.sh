@@ -30,7 +30,9 @@ cargo build --release
 echo "==> er-lint --workspace --format json (results/lint.json)"
 mkdir -p results
 cargo run -q -p er-lint -- --workspace --format json > results/lint.json
-cargo run -q -p er-bench --bin validate_lint_json -- results/lint.json
+
+echo "==> validate_json (results/lint.json + every committed BENCH_*.json)"
+cargo run -q -p er-bench --bin validate_json -- results/lint.json BENCH_*.json
 
 echo "==> cargo test -q"
 cargo test -q
