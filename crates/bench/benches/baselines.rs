@@ -9,8 +9,9 @@ use er_bench::clean_workload;
 use er_bench::harness::Criterion;
 use er_bench::{criterion_group, criterion_main};
 use er_model::matching::OracleMatcher;
+use mb_core::graphfree::graph_free_meta_blocking;
 use mb_core::propagation::{comparison_propagation, comparison_propagation_lecobi};
-use mb_core::{pipeline, GraphContext, MetaBlocking, PruningScheme, WeightingScheme};
+use mb_core::{GraphContext, MetaBlocking, PruningScheme, WeightingScheme};
 use std::hint::black_box;
 
 fn bench_baselines(c: &mut Criterion) {
@@ -20,26 +21,23 @@ fn bench_baselines(c: &mut Criterion) {
     let mut group = c.benchmark_group("baselines");
     group.sample_size(10);
 
-    group.bench_function("graph_free/r=0.25", |b| {
-        b.iter(|| {
-            let mut n = 0u64;
-            pipeline::run_graph_free(&workload.blocks, split, 0.25, &mut mb_core::Noop, |_, _| {
-                n += 1
+    for r in [0.25, 0.55] {
+        group.bench_function(format!("graph_free/r={r}"), |b| {
+            b.iter(|| {
+                let mut n = 0u64;
+                graph_free_meta_blocking(
+                    &workload.blocks,
+                    split,
+                    r,
+                    1,
+                    &mut mb_core::Noop,
+                    |_, _| n += 1,
+                )
+                .unwrap();
+                black_box(n)
             })
-            .unwrap();
-            black_box(n)
-        })
-    });
-    group.bench_function("graph_free/r=0.55", |b| {
-        b.iter(|| {
-            let mut n = 0u64;
-            pipeline::run_graph_free(&workload.blocks, split, 0.55, &mut mb_core::Noop, |_, _| {
-                n += 1
-            })
-            .unwrap();
-            black_box(n)
-        })
-    });
+        });
+    }
 
     group.bench_function("iterative_blocking/oracle", |b| {
         let oracle = OracleMatcher::new(&workload.ground_truth);

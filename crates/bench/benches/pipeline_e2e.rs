@@ -14,8 +14,9 @@ use er_bench::{clean_workload, sample_count, write_bench_json};
 use er_blocking::{BlockingMethod, TokenBlocking};
 use er_model::BlockCollection;
 use mb_core::filter::block_filtering;
+use mb_core::weighting::mean_edge_weight;
 use mb_core::weights::EdgeWeigher;
-use mb_core::{GraphContext, MetaBlocking, PruningScheme, WeightingScheme};
+use mb_core::{GraphContext, MetaBlocking, PruningScheme, WeightingImpl, WeightingScheme};
 use mb_observe::alloc_track::{alloc_count, TrackingAllocator};
 use mb_observe::json::Json;
 use std::hint::black_box;
@@ -117,7 +118,7 @@ fn main() {
         |()| {
             let ctx = GraphContext::new(&filtered, split);
             let weigher = EdgeWeigher::new(WeightingScheme::Arcs, &ctx);
-            mb_core::parallel::mean_edge_weight(&ctx, &weigher, 1)
+            mean_edge_weight(WeightingImpl::Optimized, &ctx, &weigher)
         },
     );
     rows.push(record("weight", &m));

@@ -1,5 +1,5 @@
 //! The perf-trajectory bench: every pruning scheme at 1/2/4/8 worker
-//! threads, plus the raw parallel edge-weighting sweep, on the fixed
+//! threads, plus the raw chunked edge-weighting sweep, on the fixed
 //! synthetic workload — written as machine-readable JSON so the scaling
 //! behavior is tracked commit over commit.
 //!
@@ -14,8 +14,9 @@
 
 use er_bench::{clean_workload, sample_count, write_bench_json};
 use mb_core::filter::block_filtering;
+use mb_core::weighting::mean_edge_weight;
 use mb_core::weights::EdgeWeigher;
-use mb_core::{GraphContext, MetaBlocking, PruningScheme, WeightingScheme};
+use mb_core::{GraphContext, MetaBlocking, PruningScheme, WeightingImpl, WeightingScheme};
 use mb_observe::json::Json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -65,12 +66,14 @@ fn main() {
 
     let mut rows: Vec<Json> = Vec::new();
 
-    // The raw parallel edge-weighting sweep (graph construction excluded).
-    let ctx = GraphContext::new(&filtered, split);
-    let weigher = EdgeWeigher::new(WeightingScheme::Js, &ctx);
+    // The raw edge-weighting sweep, summing the weights as WEP's mean does
+    // (graph construction excluded: one context per thread count, built
+    // before the timed samples).
     for threads in THREADS {
+        let ctx = GraphContext::new_parallel(&filtered, split, threads);
+        let weigher = EdgeWeigher::new(WeightingScheme::Js, &ctx);
         let times = time_samples(samples, || {
-            black_box(mb_core::parallel::mean_edge_weight(&ctx, &weigher, threads));
+            black_box(mean_edge_weight(WeightingImpl::Optimized, &ctx, &weigher));
         });
         println!("edge-weighting x{threads}: min {:?}", times.iter().min().unwrap());
         rows.push(record("edge_weighting", "JS", threads, &times));

@@ -6,9 +6,9 @@ use er_io::bundle::{self, Bundle};
 use er_model::measures::{self, EffectivenessAccumulator};
 use er_model::{BlockCollection, EntityId, EntityProfile};
 use mb_core::filter::block_filtering;
+use mb_core::graphfree::graph_free_meta_blocking;
 use mb_core::{
-    pipeline, MetaBlocking, Noop, Observer, PipelineConfig, PruningScheme, Retention,
-    WeightingScheme,
+    MetaBlocking, Noop, Observer, PipelineConfig, PruningScheme, Retention, WeightingScheme,
 };
 use mb_observe::{Progress, RunReport, Tee};
 use mb_serve::{
@@ -191,7 +191,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         }
         None => {
             let r = filter.unwrap_or(mb_core::graphfree::EFFECTIVENESS_RATIO);
-            pipeline::run_graph_free_threads(&blocks, split, r, threads, obs, &mut sink)
+            graph_free_meta_blocking(&blocks, split, r, threads, obs, &mut sink)
                 .map_err(|e| e.to_string())?;
             format!("Graph-free Meta-blocking (r = {r})")
         }

@@ -23,11 +23,14 @@ pub struct GraphContext<'b> {
     /// reciprocals is bit-identical to dividing inline.
     recip_cardinalities: Vec<f64>,
     split: usize,
+    /// Workers the graph sweeps over this context fan out to (resolved,
+    /// never 0).
+    threads: usize,
 }
 
 impl<'b> GraphContext<'b> {
     /// Builds the context (entity index + block cardinalities) for a block
-    /// collection.
+    /// collection; its graph sweeps run on the calling thread.
     ///
     /// `split` is the id boundary between the two collections for
     /// Clean-Clean ER (see [`er_model::EntityCollection::split`]); pass the
@@ -37,18 +40,26 @@ impl<'b> GraphContext<'b> {
         Self::with_index(blocks, index, split)
     }
 
-    /// Like [`GraphContext::new`], but builds the entity index with up to
-    /// `threads` workers ([`EntityIndex::build_parallel`]). The resulting
-    /// context is bit-identical to the sequential one for any thread count.
+    /// Like [`GraphContext::new`], but with up to `threads` workers (`0` =
+    /// auto-detect): the entity index builds with
+    /// [`EntityIndex::build_parallel`], and every graph sweep over the
+    /// context — each pruning scheme, Comparison Propagation — chunks its
+    /// pivots across the same count. Output and counters are identical to
+    /// the one-worker context for any thread count.
     pub fn new_parallel(blocks: &'b BlockCollection, split: usize, threads: usize) -> Self {
+        let threads = crate::pipeline::resolve_threads(threads);
         let index = EntityIndex::build_parallel(blocks, threads);
-        Self::with_index(blocks, index, split)
+        GraphContext { threads, ..Self::with_index(blocks, index, split) }
     }
 
+    /// Every constructor ends here. A `split` past `|E|` is clamped to it:
+    /// the edge sweeps range over the pivots `0..split`, and an oversized
+    /// split puts every entity on the left side either way.
     fn with_index(blocks: &'b BlockCollection, index: EntityIndex, split: usize) -> Self {
         let cardinalities: Vec<f64> = blocks.iter().map(|b| b.cardinality() as f64).collect();
         let recip_cardinalities = cardinalities.iter().map(|&c| 1.0 / c).collect();
-        GraphContext { blocks, index, cardinalities, recip_cardinalities, split }
+        let split = split.min(blocks.num_entities());
+        GraphContext { blocks, index, cardinalities, recip_cardinalities, split, threads: 1 }
     }
 
     /// Builds the context around an index that already exists — the snapshot
@@ -129,6 +140,11 @@ impl<'b> GraphContext<'b> {
         self.split
     }
 
+    /// How many workers the graph sweeps over this context use.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// `|B_i|`: number of blocks containing `id`.
     #[inline]
     pub fn num_blocks_of(&self, id: EntityId) -> usize {
@@ -176,5 +192,33 @@ mod tests {
         assert!(!ctx.comparable(EntityId(2), EntityId(3)));
         assert!(ctx.is_first(EntityId(1)));
         assert!(!ctx.is_first(EntityId(2)));
+    }
+
+    /// A split past `|E|` is clamped: the sweeps over `0..split` stay inside
+    /// the entity range and see what a split of `|E|` sees, at every worker
+    /// count.
+    #[test]
+    fn oversized_split_is_clamped() {
+        use crate::weighting::{self, WeightingImpl};
+        use crate::weights::{EdgeWeigher, WeightingScheme};
+        let blocks = BlockCollection::new(
+            ErKind::Dirty,
+            4,
+            vec![Block::dirty(ids(&[0, 1, 2])), Block::dirty(ids(&[2, 3]))],
+        );
+        let sweep = |split: usize, threads: usize| {
+            let ctx = GraphContext::new_parallel(&blocks, split, threads);
+            let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
+            let mut pairs = Vec::new();
+            crate::propagation::comparison_propagation(&ctx, |a, b| pairs.push((a, b)));
+            (
+                ctx.split(),
+                weighting::mean_edge_weight(WeightingImpl::Optimized, &ctx, &weigher),
+                pairs,
+            )
+        };
+        for threads in [1, 4] {
+            assert_eq!(sweep(100, threads), sweep(4, threads), "x{threads}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 use crate::context::GraphContext;
 use crate::filter::block_filtering;
 use crate::propagation::comparison_propagation;
-use er_model::{EntityId, Result};
+use er_model::{EntityId, ErKind, Result};
 use mb_observe::{Counter, Observer, Stage, StageScope};
 
 /// The aggressive filtering ratio the paper tunes for efficiency-intensive
@@ -24,28 +24,16 @@ pub const EFFECTIVENESS_RATIO: f64 = 0.55;
 /// it runs within minutes where graph-based schemes need hours, at the cost
 /// of coarser pruning (lower precision than the reciprocal schemes).
 ///
-/// `split` is the Clean-Clean id boundary (pass the collection size for
-/// Dirty ER, or use the [`crate::pipeline::MetaBlocking`] builder which
-/// handles this).
+/// `split` is the Clean-Clean id boundary; for Dirty ER it is ignored and
+/// the collection size is used, so `collection.split()` is always correct.
+/// Both the entity-index build and the propagation sweep run on up to
+/// `threads` workers (`0` = auto-detect), with output and counters
+/// identical at every count (see `DESIGN.md` §8).
 ///
 /// The two stages report to `obs` as [`Stage::BlockFiltering`] and
 /// [`Stage::ComparisonPropagation`]; pass [`mb_observe::Noop`] when no
 /// telemetry is wanted.
 pub fn graph_free_meta_blocking(
-    blocks: &er_model::BlockCollection,
-    split: usize,
-    r: f64,
-    obs: &mut dyn Observer,
-    sink: impl FnMut(EntityId, EntityId),
-) -> Result<()> {
-    graph_free_meta_blocking_threads(blocks, split, r, 1, obs, sink)
-}
-
-/// [`graph_free_meta_blocking`] on up to `threads` workers (`0` =
-/// auto-detect): both the entity-index build and the propagation sweep run
-/// chunked, with output and counters bit-identical to the sequential run
-/// (see `DESIGN.md` §8).
-pub fn graph_free_meta_blocking_threads(
     blocks: &er_model::BlockCollection,
     split: usize,
     r: f64,
@@ -65,22 +53,14 @@ pub fn graph_free_meta_blocking_threads(
         scope.add(Counter::Entities, blocks.num_entities() as u64);
     }
     scope.finish();
-    let threads = crate::pipeline::resolve_threads(threads);
+    let split = if blocks.kind() == ErKind::Dirty { blocks.num_entities() } else { split };
     let mut scope = StageScope::enter(obs, Stage::ComparisonPropagation);
+    let ctx = GraphContext::new_parallel(&filtered, split, threads);
     let mut retained = 0u64;
-    if threads > 1 {
-        let ctx = GraphContext::new_parallel(&filtered, split, threads);
-        for (a, b) in crate::parallel::comparison_propagation(&ctx, threads) {
-            retained += 1;
-            sink(a, b);
-        }
-    } else {
-        let ctx = GraphContext::new(&filtered, split);
-        comparison_propagation(&ctx, |a, b| {
-            retained += 1;
-            sink(a, b);
-        });
-    }
+    comparison_propagation(&ctx, |a, b| {
+        retained += 1;
+        sink(a, b);
+    });
     scope.add(Counter::RetainedComparisons, retained);
     scope.finish();
     Ok(())
@@ -109,7 +89,7 @@ mod tests {
             ],
         );
         let mut got: Vec<(u32, u32)> = Vec::new();
-        graph_free_meta_blocking(&blocks, 5, 0.34, &mut mb_observe::Noop, |a, b| {
+        graph_free_meta_blocking(&blocks, 5, 0.34, 1, &mut mb_observe::Noop, |a, b| {
             got.push((a.0, b.0))
         })
         .unwrap();
@@ -123,7 +103,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // Large enough to split into several chunks (MIN_CHUNK = 256).
+        // Large enough to split into several chunks (CHUNK = 256).
         let n: u32 = 256 * 3 + 11;
         let mut raw = Vec::new();
         for i in (0..n - 3).step_by(2) {
@@ -131,23 +111,22 @@ mod tests {
         }
         raw.push(Block::dirty(ids(&[0, n / 2, n - 1])));
         let blocks = BlockCollection::new(ErKind::Dirty, n as usize, raw);
-        let mut seq = Vec::new();
-        graph_free_meta_blocking(&blocks, n as usize, 0.8, &mut mb_observe::Noop, |a, b| {
-            seq.push((a, b))
-        })
-        .unwrap();
-        for threads in [0, 2, 4, 8] {
-            let mut par = Vec::new();
-            graph_free_meta_blocking_threads(
+        let run = |threads: usize| {
+            let mut out = Vec::new();
+            graph_free_meta_blocking(
                 &blocks,
                 n as usize,
                 0.8,
                 threads,
                 &mut mb_observe::Noop,
-                |a, b| par.push((a, b)),
+                |a, b| out.push((a, b)),
             )
             .unwrap();
-            assert_eq!(par, seq, "graph-free output differs at {threads} threads");
+            out
+        };
+        let seq = run(1);
+        for threads in [0, 2, 4, 8] {
+            assert_eq!(run(threads), seq, "graph-free output differs at {threads} threads");
         }
     }
 
@@ -155,7 +134,7 @@ mod tests {
     fn invalid_ratio_is_rejected() {
         let blocks = BlockCollection::new(ErKind::Dirty, 2, vec![]);
         assert!(
-            graph_free_meta_blocking(&blocks, 2, 0.0, &mut mb_observe::Noop, |_, _| {}).is_err()
+            graph_free_meta_blocking(&blocks, 2, 0.0, 1, &mut mb_observe::Noop, |_, _| {}).is_err()
         );
     }
 

@@ -48,9 +48,11 @@
 //!   is an append, answered with its top-k neighbors among earlier arrivals;
 //! * [`progressive`] turns CEP's global ranking into a pay-as-you-go
 //!   comparison schedule;
-//! * [`parallel`] runs the graph sweeps across threads with bit-identical
-//!   output (the shared-memory analog of the MapReduce scale-out the paper
-//!   cites);
+//! * every graph sweep chunks its pivots across the workers of a
+//!   [`GraphContext::new_parallel`] context with output identical at any
+//!   worker count (the shared-memory analog of the MapReduce scale-out the
+//!   paper cites) — each pruning scheme is one fold over that sweep
+//!   ([`weighting::fold_edges`], [`weighting::fold_neighborhoods`]);
 //! * [`blast`] implements the χ²-weighted, max-ratio-pruned follow-on
 //!   (Simonini et al., VLDB'16) for cross-comparison.
 //!
@@ -77,7 +79,6 @@ pub mod blast;
 pub mod context;
 pub mod filter;
 pub mod graphfree;
-pub mod parallel;
 pub mod pipeline;
 pub mod progressive;
 pub mod propagation;
@@ -89,6 +90,30 @@ pub mod scorer;
 pub mod store;
 pub mod weighting;
 pub mod weights;
+
+/// Thread-count invariance of the chunked graph sweeps, at the unit level.
+#[cfg(test)]
+mod parallel {
+    mod tests;
+}
+
+/// Block collections the unit tests share.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use er_model::{Block, BlockCollection, EntityId, ErKind};
+
+    /// A Dirty collection of `n` entities in overlapping 4-entity blocks
+    /// (one every 3 ids), plus a few long-range blocks, so each chunk of a
+    /// multi-chunk sweep sees non-local neighbors.
+    pub(crate) fn multi_chunk_dirty(n: u32) -> BlockCollection {
+        let block = |v: &[u32]| Block::dirty(v.iter().copied().map(EntityId).collect());
+        let mut blocks: Vec<Block> =
+            (0..n - 4).step_by(3).map(|i| block(&[i, i + 1, i + 2, i + 4])).collect();
+        blocks.push(block(&[0, n / 2, n - 1]));
+        blocks.push(block(&[3, n / 3, 2 * n / 3]));
+        BlockCollection::new(ErKind::Dirty, n as usize, blocks)
+    }
+}
 
 pub use context::GraphContext;
 pub use mb_observe::{Noop, Observer};

@@ -12,7 +12,6 @@
 
 use crate::context::GraphContext;
 use crate::filter::block_filtering;
-use crate::graphfree::graph_free_meta_blocking_threads;
 use crate::prune;
 use crate::weights::{EdgeWeigher, WeightingScheme};
 use er_model::{BlockCollection, EntityId, ErKind, Result};
@@ -152,9 +151,10 @@ pub struct PipelineConfig {
     pub weighting_impl: WeightingImpl,
     /// Block Filtering ratio in `(0, 1]`, or `None` to skip filtering.
     pub filter_ratio: Option<f64>,
-    /// Worker threads for the parallel pruning paths: 1 = sequential, `n` =
-    /// up to `n` workers, 0 = auto-detect the available parallelism. Every
-    /// pruning scheme parallelizes under Optimized weighting.
+    /// Worker threads for the graph sweeps: 1 = sequential, `n` = up to `n`
+    /// workers, 0 = auto-detect the available parallelism. Every pruning
+    /// scheme chunks its sweeps under Optimized weighting; Original
+    /// weighting always sweeps sequentially.
     pub threads: usize,
     /// Whether binaries should attach the human progress printer.
     pub progress: bool,
@@ -350,8 +350,8 @@ impl MetaBlocking {
         self
     }
 
-    /// Sets the worker-thread count for the parallel pruning paths
-    /// (default 1 = sequential; 0 = auto-detect).
+    /// Sets the worker-thread count for the graph sweeps (default 1 =
+    /// sequential; 0 = auto-detect).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
@@ -408,17 +408,12 @@ impl MetaBlocking {
             None => blocks,
         };
         let split = if blocks.kind() == ErKind::Dirty { blocks.num_entities() } else { split };
-        let threads = self.config.effective_threads();
         // Building the graph context (entity index) and the weigher's
         // per-scheme statistics is the fixed cost of every graph-based
-        // scheme; it reports as the first EdgeWeighting record. The index
-        // build itself is split across the workers.
+        // scheme; it reports as the first EdgeWeighting record. The context
+        // carries the worker count every sweep below chunks across.
         let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-        let ctx = if threads > 1 {
-            GraphContext::new_parallel(input, split, threads)
-        } else {
-            GraphContext::new(input, split)
-        };
+        let ctx = GraphContext::new_parallel(input, split, self.config.threads);
         let weigher = EdgeWeigher::new(self.config.weighting, &ctx);
         if scope.enabled() {
             scope.add(Counter::Entities, ctx.num_entities() as u64);
@@ -454,20 +449,6 @@ impl MetaBlocking {
                 inner(a, b)
             }
         };
-        // The parallel path: every scheme's chunked sweeps distribute
-        // cleanly under Optimized weighting and reproduce the sequential
-        // output (and counters) bit for bit.
-        if threads > 1 && imp == WeightingImpl::Optimized {
-            crate::parallel::run_pruning_observed(
-                self.config.pruning,
-                &ctx,
-                &weigher,
-                threads,
-                obs,
-                &mut sink,
-            );
-            return Ok(());
-        }
         match self.config.pruning {
             PruningScheme::Cep => prune::cep(&ctx, &weigher, imp, obs, &mut sink),
             PruningScheme::Cnp => prune::cnp(&ctx, &weigher, imp, obs, &mut sink),
@@ -503,33 +484,6 @@ impl MetaBlocking {
         self.run(blocks, split, &mut Noop, |a, b| out.push((a, b)))?;
         Ok(out)
     }
-}
-
-/// Convenience wrapper for the graph-free workflow, mirroring
-/// [`MetaBlocking::run`].
-pub fn run_graph_free(
-    blocks: &BlockCollection,
-    split: usize,
-    r: f64,
-    obs: &mut dyn Observer,
-    sink: impl FnMut(EntityId, EntityId),
-) -> Result<()> {
-    run_graph_free_threads(blocks, split, r, 1, obs, sink)
-}
-
-/// [`run_graph_free`] on up to `threads` workers (`0` = auto-detect):
-/// parallel entity-index build and propagation sweep, output and counters
-/// bit-identical to the sequential run.
-pub fn run_graph_free_threads(
-    blocks: &BlockCollection,
-    split: usize,
-    r: f64,
-    threads: usize,
-    obs: &mut dyn Observer,
-    sink: impl FnMut(EntityId, EntityId),
-) -> Result<()> {
-    let split = if blocks.kind() == ErKind::Dirty { blocks.num_entities() } else { split };
-    graph_free_meta_blocking_threads(blocks, split, r, threads, obs, sink)
 }
 
 #[cfg(test)]
@@ -625,11 +579,28 @@ mod tests {
         assert_eq!(MetaBlocking::default().with_threads(0).config().threads, 0);
     }
 
-    /// Every scheme routed through the parallel path produces the same
-    /// output as the sequential pipeline (threads = 1), for both ER kinds.
+    /// Dirty and Clean-Clean collections whose pivot ranges span several
+    /// sweep chunks (the Clean-Clean left side too, since edge sweeps chunk
+    /// over `0..split`), with long-range blocks so chunks see non-local
+    /// neighbors.
+    fn multi_chunk_fixtures() -> [(BlockCollection, usize); 2] {
+        let n = crate::weighting::CHUNK as u32 * 3 + 11;
+        let mut clean = Vec::new();
+        for i in (0..n - 2).step_by(2) {
+            clean.push(Block::clean_clean(ids(&[i, i + 1]), ids(&[n + i, n + (i + 5) % n])));
+        }
+        clean.push(Block::clean_clean(ids(&[0, n / 2]), ids(&[n, 2 * n - 1])));
+        [
+            (crate::fixtures::multi_chunk_dirty(n), n as usize),
+            (BlockCollection::new(ErKind::CleanClean, 2 * n as usize, clean), n as usize),
+        ]
+    }
+
+    /// Every scheme run with several workers produces the same output as
+    /// the sequential pipeline (threads = 1), for both ER kinds, on inputs
+    /// that fit one chunk and on inputs that span several.
     #[test]
     fn parallel_pipeline_matches_sequential_for_every_scheme() {
-        let dirty = fixture();
         let clean = BlockCollection::new(
             ErKind::CleanClean,
             6,
@@ -639,15 +610,17 @@ mod tests {
                 Block::clean_clean(ids(&[2]), ids(&[5])),
             ],
         );
-        for (blocks, split) in [(&dirty, 4usize), (&clean, 3usize)] {
+        let [large_dirty, large_clean] = multi_chunk_fixtures();
+        for (blocks, split) in [(fixture(), 4usize), (clean, 3usize), large_dirty, large_clean] {
             for pruning in PruningScheme::ALL {
                 let seq = MetaBlocking::new(WeightingScheme::Js, pruning)
-                    .run_collect(blocks, split)
+                    .run_collect(&blocks, split)
                     .unwrap();
+                assert!(!seq.is_empty(), "{}", pruning.name());
                 for threads in [2, 8] {
                     let par = MetaBlocking::new(WeightingScheme::Js, pruning)
                         .with_threads(threads)
-                        .run_collect(blocks, split)
+                        .run_collect(&blocks, split)
                         .unwrap();
                     assert_eq!(par, seq, "{} x{threads}", pruning.name());
                 }
@@ -739,7 +712,8 @@ mod tests {
     fn graph_free_runs() {
         let blocks = fixture();
         let mut n = 0;
-        run_graph_free(&blocks, 4, 0.5, &mut Noop, |_, _| n += 1).unwrap();
+        crate::graphfree::graph_free_meta_blocking(&blocks, 4, 0.5, 1, &mut Noop, |_, _| n += 1)
+            .unwrap();
         assert!(n > 0);
     }
 

@@ -8,7 +8,9 @@
 
 use crate::context::GraphContext;
 use crate::scanner::{Accumulate, NeighborhoodScanner, ScanScope};
+use crate::weighting;
 use er_model::EntityId;
+use std::ops::Range;
 
 /// Emits every *distinct* comparison of the block collection exactly once.
 ///
@@ -28,19 +30,20 @@ use er_model::EntityId;
 /// checks: both yield the identical distinct-comparison set, but the sweep
 /// costs `O(‖B‖)` instead of `O(2·BPE·‖B‖)` — the same optimization that
 /// Algorithm 3 brings to edge weighting, applied to plain deduplication.
+/// Like the weighted edge sweeps, it runs on [`weighting::sweep`] over the
+/// left-side pivots `0..split` and drains the chunks in order, so the
+/// output is the same at every worker count.
 pub fn comparison_propagation(ctx: &GraphContext<'_>, mut sink: impl FnMut(EntityId, EntityId)) {
-    let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
-    let n = ctx.num_entities() as u32;
-    for raw in 0..n {
-        let pivot = EntityId(raw);
-        if !ctx.is_first(pivot) {
-            continue; // Clean-Clean: each edge charged to its left endpoint.
+    // Clean-Clean: each edge is charged to its left endpoint.
+    let body = |scanner: &mut NeighborhoodScanner, pairs: &mut Vec<_>, pivots: Range<usize>| {
+        for raw in pivots.start as u32..pivots.end as u32 {
+            let pivot = EntityId(raw);
+            let hood = scanner.scan(ctx, pivot, Accumulate::CommonBlocks, ScanScope::GreaterOnly);
+            pairs.extend(hood.ids.iter().map(|&j| (pivot, EntityId(j))));
         }
-        let hood = scanner.scan(ctx, pivot, Accumulate::CommonBlocks, ScanScope::GreaterOnly);
-        for &j in hood.ids {
-            sink(pivot, EntityId(j));
-        }
-    }
+    };
+    let drain = |pairs: Vec<_>| pairs.into_iter().for_each(|(a, b)| sink(a, b));
+    weighting::sweep(ctx, ctx.split(), ctx.threads(), |_| Vec::new(), body, drain);
 }
 
 /// Emits every distinct comparison using the literal per-comparison LeCoBI

@@ -1,11 +1,12 @@
 //! Cardinality-based pruning: CEP, CNP and the redefined/reciprocal CNP.
 
-use super::Combine;
+use super::{per_node, retain_edges, Combine, Kept, Totals};
 use crate::context::GraphContext;
 use crate::weighting::{self, WeightingImpl};
 use crate::weights::EdgeWeigher;
 use er_model::EntityId;
 use mb_observe::{Counter, Observer, Stage, StageScope};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -46,22 +47,18 @@ pub fn cep_threshold(ctx: &GraphContext<'_>) -> usize {
 /// `K` edges most of that memory would never be touched. Reserve a bounded
 /// prefix and let the heap grow on demand (amortized, and only as far as
 /// the edges actually seen).
-pub(crate) const MAX_HEAP_PREALLOC: usize = 1 << 16;
+const MAX_HEAP_PREALLOC: usize = 1 << 16;
 
 /// The initial capacity for a top-`K` min-heap: `K + 1` when small, capped
 /// by [`MAX_HEAP_PREALLOC`].
-pub(crate) fn heap_prealloc(k: usize) -> usize {
+fn heap_prealloc(k: usize) -> usize {
     (k + 1).min(MAX_HEAP_PREALLOC)
 }
 
 /// Offers `edge` to a bounded min-heap keeping the `k` largest edges under
 /// the [`WeightedEdge`] total order.
 #[inline]
-pub(crate) fn push_top_k(
-    heap: &mut BinaryHeap<Reverse<WeightedEdge>>,
-    edge: WeightedEdge,
-    k: usize,
-) {
+fn push_top_k(heap: &mut BinaryHeap<Reverse<WeightedEdge>>, edge: WeightedEdge, k: usize) {
     if heap.len() < k {
         heap.push(Reverse(edge));
     } else if heap.peek().is_some_and(|Reverse(min)| *min < edge) {
@@ -92,17 +89,37 @@ pub fn cep(
         return;
     }
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    // Min-heap of the K best edges seen so far.
-    let mut heap: BinaryHeap<Reverse<WeightedEdge>> = BinaryHeap::with_capacity(heap_prealloc(k));
+    // The running top-K rides in the first chunk of every sweep window;
+    // the window's other chunks start empty and are merged into it as they
+    // drain. The global top-K is unique under the strict WeightedEdge
+    // order, so it does not depend on how the sweep was chunked.
+    let top = Cell::new(BinaryHeap::with_capacity(heap_prealloc(k)));
     let mut edges = 0u64;
-    weighting::for_each_edge(imp, ctx, weigher, |a, b, w| {
-        edges += 1;
-        push_top_k(&mut heap, WeightedEdge { w, a: a.0, b: b.0 }, k);
-    });
+    weighting::fold_edges(
+        imp,
+        ctx,
+        weigher,
+        || (top.take(), 0u64),
+        |(heap, n): &mut (BinaryHeap<Reverse<WeightedEdge>>, u64), a, b, w| {
+            *n += 1;
+            push_top_k(heap, WeightedEdge { w, a: a.0, b: b.0 }, k);
+        },
+        |(heap, n)| {
+            edges += n;
+            let mut merged = top.take();
+            if merged.is_empty() {
+                merged = heap;
+            } else {
+                heap.into_iter().for_each(|Reverse(e)| push_top_k(&mut merged, e, k));
+            }
+            top.set(merged);
+        },
+    );
     scope.add(Counter::EdgesWeighed, edges);
     scope.finish();
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let mut retained: Vec<WeightedEdge> = heap.into_iter().map(|Reverse(e)| e).collect();
+    let mut retained: Vec<WeightedEdge> =
+        top.into_inner().into_iter().map(|Reverse(e)| e).collect();
     retained.sort_unstable_by(|x, y| y.cmp(x));
     #[cfg(feature = "sanitize")]
     {
@@ -168,53 +185,43 @@ pub fn cnp(
 ) {
     let k = cnp_threshold(ctx);
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut hoods, mut edges, mut retained) = (0u64, 0u64, 0u64);
-    weighting::for_each_neighborhood(imp, ctx, weigher, |pivot, ids, weights| {
-        hoods += 1;
-        edges += ids.len() as u64;
-        for j in top_k_neighbors(pivot, ids, weights, k) {
-            retained += 1;
-            sink(pivot, EntityId(j));
-        }
-    });
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
+    let (mut totals, spare) = (Totals::default(), Cell::default());
+    weighting::fold_neighborhoods(
+        imp,
+        ctx,
+        weigher,
+        |_| Kept::reusing(&spare),
+        |acc, pivot, ids, weights| {
+            acc.scanned(ids.len());
+            let kept = top_k_neighbors(pivot, ids, weights, k);
+            acc.pairs.extend(kept.into_iter().map(|j| (pivot, EntityId(j))));
+        },
+        |chunk| spare.set(totals.emit(chunk, &mut sink)),
+    );
+    scope.add(Counter::NeighborhoodsScanned, totals.hoods);
+    scope.add(Counter::EdgesWeighed, totals.edges);
+    scope.add(Counter::RetainedComparisons, totals.retained);
     scope.finish();
 }
 
-/// Phase 1 shared by [`redefined_cnp`] and [`reciprocal_cnp`]: the sorted
-/// top-`k` neighbor list of every node ("Sorted Stacks" in Algorithm 4),
-/// plus the sweep's (neighborhoods, directed edges) tally.
-fn per_node_top_k(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
-    k: usize,
-) -> (Vec<Vec<u32>>, u64, u64) {
-    let mut stacks: Vec<Vec<u32>> = vec![Vec::new(); ctx.num_entities()];
-    let (mut hoods, mut edges) = (0u64, 0u64);
-    weighting::for_each_neighborhood(imp, ctx, weigher, |pivot, ids, weights| {
-        hoods += 1;
-        edges += ids.len() as u64;
-        stacks[pivot.idx()] = top_k_neighbors(pivot, ids, weights, k);
-    });
-    (stacks, hoods, edges)
-}
-
+/// The two-phase body shared by [`redefined_cnp`] and [`reciprocal_cnp`].
 fn two_phase_cnp(
     ctx: &GraphContext<'_>,
     weigher: &EdgeWeigher<'_, '_>,
     imp: WeightingImpl,
     combine: Combine,
     obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
+    sink: impl FnMut(EntityId, EntityId),
 ) {
     let k = cnp_threshold(ctx);
-    // Phase 1 is the weighting work of Algorithm 4 (building every node's
-    // sorted stack); phase 2 is the pruning sweep over the distinct edges.
+    // Phase 1 is the weighting work of Algorithm 4: the sorted top-`k`
+    // neighbor list of every node ("Sorted Stacks"). Phase 2 is the
+    // pruning sweep over the distinct edges.
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let (stacks, hoods, directed_edges) = per_node_top_k(ctx, weigher, imp, k);
+    let (stacks, hoods, directed_edges) =
+        per_node(ctx, weigher, imp, Vec::new(), |pivot, ids, weights| {
+            top_k_neighbors(pivot, ids, weights, k)
+        });
     scope.add(Counter::NeighborhoodsScanned, hoods);
     scope.add(Counter::EdgesWeighed, directed_edges);
     scope.finish();
@@ -233,24 +240,11 @@ fn two_phase_cnp(
         );
     }
     // Phase 2 (edge-centric): every distinct edge is retained at most once.
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut edges, mut retained) = (0u64, 0u64);
-    weighting::for_each_edge(imp, ctx, weigher, |a, b, _w| {
-        edges += 1;
+    retain_edges(ctx, weigher, imp, obs, sink, |a, b, _w| {
         let in_a = stacks[a.idx()].binary_search(&b.0).is_ok();
         let in_b = stacks[b.idx()].binary_search(&a.0).is_ok();
-        let retain = match combine {
-            Combine::Either => in_a || in_b,
-            Combine::Both => in_a && in_b,
-        };
-        if retain {
-            retained += 1;
-            sink(a, b);
-        }
+        combine.holds(in_a, in_b)
     });
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
-    scope.finish();
 }
 
 /// Redefined Cardinality Node Pruning (Algorithm 4): CNP without redundant

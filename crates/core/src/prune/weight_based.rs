@@ -1,11 +1,12 @@
 //! Weight-based pruning: WEP, WNP and the redefined/reciprocal WNP.
 
-use super::Combine;
+use super::{per_node, retain_edges, Combine, Kept, Totals};
 use crate::context::GraphContext;
 use crate::weighting::{self, WeightingImpl};
 use crate::weights::EdgeWeigher;
 use er_model::EntityId;
 use mb_observe::{Counter, Observer, Stage, StageScope};
+use std::cell::Cell;
 
 /// Whether a weight reaches a pruning threshold, with a one-sided relative
 /// tolerance: a graph whose edges all carry the *same* weight must retain
@@ -32,38 +33,19 @@ pub fn wep(
     weigher: &EdgeWeigher<'_, '_>,
     imp: WeightingImpl,
     obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
+    sink: impl FnMut(EntityId, EntityId),
 ) {
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let mut sum = 0.0f64;
-    let mut count = 0u64;
-    weighting::for_each_edge(imp, ctx, weigher, |_a, _b, w| {
-        sum += w;
-        count += 1;
-    });
+    let (mean, count) = weighting::mean_edge_weight(imp, ctx, weigher);
     scope.add(Counter::EdgesWeighed, count);
     scope.finish();
-    if count == 0 {
-        return;
-    }
-    let mean = sum / count as f64;
+    let Some(mean) = mean else { return };
     #[cfg(feature = "sanitize")]
     assert!(
         mean.is_finite() && mean >= 0.0,
         "mb-sanitize: WEP mean weight {mean} over {count} edges is invalid"
     );
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut edges, mut retained) = (0u64, 0u64);
-    weighting::for_each_edge(imp, ctx, weigher, |a, b, w| {
-        edges += 1;
-        if reaches(w, mean) {
-            retained += 1;
-            sink(a, b);
-        }
-    });
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
-    scope.finish();
+    retain_edges(ctx, weigher, imp, obs, sink, |_a, _b, w| reaches(w, mean));
 }
 
 /// The mean weight of one node neighborhood — WNP's local threshold.
@@ -90,57 +72,45 @@ pub fn wnp(
     mut sink: impl FnMut(EntityId, EntityId),
 ) {
     let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut hoods, mut edges, mut retained) = (0u64, 0u64, 0u64);
-    weighting::for_each_neighborhood(imp, ctx, weigher, |pivot, ids, weights| {
-        hoods += 1;
-        edges += ids.len() as u64;
-        let mean = neighborhood_mean(weights);
-        for (&j, &w) in ids.iter().zip(weights) {
-            if reaches(w, mean) {
-                retained += 1;
-                sink(pivot, EntityId(j));
+    let (mut totals, spare) = (Totals::default(), Cell::default());
+    weighting::fold_neighborhoods(
+        imp,
+        ctx,
+        weigher,
+        |_| Kept::reusing(&spare),
+        |acc, pivot, ids, weights| {
+            acc.scanned(ids.len());
+            let mean = neighborhood_mean(weights);
+            for (&j, &w) in ids.iter().zip(weights) {
+                if reaches(w, mean) {
+                    acc.pairs.push((pivot, EntityId(j)));
+                }
             }
-        }
-    });
-    scope.add(Counter::NeighborhoodsScanned, hoods);
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
+        },
+        |chunk| spare.set(totals.emit(chunk, &mut sink)),
+    );
+    scope.add(Counter::NeighborhoodsScanned, totals.hoods);
+    scope.add(Counter::EdgesWeighed, totals.edges);
+    scope.add(Counter::RetainedComparisons, totals.retained);
     scope.finish();
 }
 
-/// Phase 1 shared by [`redefined_wnp`] and [`reciprocal_wnp`]: every node's
-/// local weight threshold (Algorithm 5, lines 2–4), plus the sweep's
-/// (neighborhoods, directed edges) tally.
-///
-/// Nodes with no neighborhood get `+∞` so they can never retain an edge —
-/// they have none to retain.
-fn per_node_thresholds(
-    ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    imp: WeightingImpl,
-) -> (Vec<f64>, u64, u64) {
-    let mut thresholds = vec![f64::INFINITY; ctx.num_entities()];
-    let (mut hoods, mut edges) = (0u64, 0u64);
-    weighting::for_each_neighborhood(imp, ctx, weigher, |pivot, ids, weights| {
-        hoods += 1;
-        edges += ids.len() as u64;
-        thresholds[pivot.idx()] = neighborhood_mean(weights);
-    });
-    (thresholds, hoods, edges)
-}
-
+/// The two-phase body shared by [`redefined_wnp`] and [`reciprocal_wnp`].
 fn two_phase_wnp(
     ctx: &GraphContext<'_>,
     weigher: &EdgeWeigher<'_, '_>,
     imp: WeightingImpl,
     combine: Combine,
     obs: &mut dyn Observer,
-    mut sink: impl FnMut(EntityId, EntityId),
+    sink: impl FnMut(EntityId, EntityId),
 ) {
-    // Phase 1 (threshold computation) is the weighting work of Algorithm 5;
-    // phase 2 is the pruning sweep over the distinct edges.
+    // Phase 1 is the weighting work of Algorithm 5 (lines 2–4): every
+    // node's local weight threshold. A node with no neighborhood gets `+∞`
+    // — it has no edge to retain. Phase 2 is the pruning sweep over the
+    // distinct edges.
     let mut scope = StageScope::enter(obs, Stage::EdgeWeighting);
-    let (thresholds, hoods, directed_edges) = per_node_thresholds(ctx, weigher, imp);
+    let (thresholds, hoods, directed_edges) =
+        per_node(ctx, weigher, imp, f64::INFINITY, |_, _, weights| neighborhood_mean(weights));
     scope.add(Counter::NeighborhoodsScanned, hoods);
     scope.add(Counter::EdgesWeighed, directed_edges);
     scope.finish();
@@ -149,24 +119,9 @@ fn two_phase_wnp(
     for (i, &t) in thresholds.iter().enumerate() {
         assert!(!t.is_nan(), "mb-sanitize: WNP threshold of entity {i} is NaN");
     }
-    let mut scope = StageScope::enter(obs, Stage::Pruning);
-    let (mut edges, mut retained) = (0u64, 0u64);
-    weighting::for_each_edge(imp, ctx, weigher, |a, b, w| {
-        edges += 1;
-        let over_a = reaches(w, thresholds[a.idx()]);
-        let over_b = reaches(w, thresholds[b.idx()]);
-        let retain = match combine {
-            Combine::Either => over_a || over_b,
-            Combine::Both => over_a && over_b,
-        };
-        if retain {
-            retained += 1;
-            sink(a, b);
-        }
+    retain_edges(ctx, weigher, imp, obs, sink, |a, b, w| {
+        combine.holds(reaches(w, thresholds[a.idx()]), reaches(w, thresholds[b.idx()]))
     });
-    scope.add(Counter::EdgesWeighed, edges);
-    scope.add(Counter::RetainedComparisons, retained);
-    scope.finish();
 }
 
 /// Redefined Weighted Node Pruning (Algorithm 5): WNP without redundant

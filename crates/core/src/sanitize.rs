@@ -159,11 +159,11 @@ mod tests {
         let ctx = GraphContext::new_dirty(&blocks);
         check_pipeline_input(&ctx);
         let weigher = EdgeWeigher::new(WeightingScheme::Js, &ctx);
-        // With the feature on, the dispatcher itself routes every emission
-        // through check_edge — this sweep runs fully checked.
-        let mut n = 0;
-        crate::weighting::for_each_edge(WeightingImpl::Optimized, &ctx, &weigher, |_, _, _| n += 1);
-        assert_eq!(n, 4);
+        // With the feature on, the fold under the mean routes every swept
+        // edge through check_edge — this sweep runs fully checked.
+        let (_, edges) =
+            crate::weighting::mean_edge_weight(WeightingImpl::Optimized, &ctx, &weigher);
+        assert_eq!(edges, 4);
     }
 
     #[test]

@@ -14,13 +14,9 @@ use crate::context::GraphContext;
 use crate::prune::{neighborhood_mean, reaches, top_k_neighbors, WeightedEdge};
 use crate::scanner::{NeighborhoodScanner, ScanScope};
 use crate::store::CandidateStore;
+use crate::weighting::CHUNK;
 use crate::weights::{edge_weight, Degrees, WeightingScheme};
 use er_model::{BlockCollection, EntityId};
-
-/// Chunk floor for [`NeighborhoodScorer::batch`] — same rationale and value
-/// as the pipeline sweeps (DESIGN.md §8: all parallel stages chunk through
-/// [`er_model::chunk_ranges`]).
-const MIN_CHUNK: usize = 256;
 
 /// One retained candidate: a neighbor id and the weight of its edge to the
 /// query's pivot.
@@ -253,17 +249,16 @@ impl<S: CandidateStore + Sync> NeighborhoodScorer<S> {
     /// Scores every indexed entity, fanning the id range out over up to
     /// `threads` workers.
     ///
-    /// Chunks come from [`er_model::chunk_ranges`] and results are
-    /// concatenated in range order, so the output is bit-identical to the
-    /// sequential sweep for any thread count (each pivot's query is
-    /// independent of every other's).
+    /// The id range splits into [`er_model::map_chunks`] chunks of at least
+    /// [`CHUNK`] ids and results are concatenated in range order, so the output is bit-identical to the sequential sweep for
+    /// any thread count (each pivot's query is independent of every
+    /// other's).
     pub fn batch(&self, retention: Retention, threads: usize) -> Vec<Scored> {
         let n = self.store.num_entities();
-        let ranges = er_model::chunk_ranges(n, threads, MIN_CHUNK);
         let store = &self.store;
         let degrees = self.degrees.as_ref();
         let scheme = self.scheme;
-        let run_range = move |range: std::ops::Range<usize>| {
+        let chunks = er_model::map_chunks(n, threads, CHUNK, |range| {
             let mut scanner = NeighborhoodScanner::new(n);
             let mut ids: Vec<u32> = Vec::new();
             let mut weights: Vec<f64> = Vec::new();
@@ -286,18 +281,8 @@ impl<S: CandidateStore + Sync> NeighborhoodScorer<S> {
                 });
             }
             out
-        };
-        if ranges.len() <= 1 {
-            return ranges.into_iter().flat_map(run_range).collect();
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                ranges.into_iter().map(|r| s.spawn(move || run_range(r))).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
+        });
+        chunks.into_iter().flatten().collect()
     }
 }
 
@@ -562,7 +547,7 @@ mod tests {
     #[test]
     fn batch_is_identical_across_thread_counts() {
         // Enough entities to split into several chunks past the floor.
-        let n = MIN_CHUNK * 3 + 17;
+        let n = CHUNK * 3 + 17;
         let mut blocks = Vec::new();
         for b in 0..n / 2 {
             let base = (b * 2) as u32;

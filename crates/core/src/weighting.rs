@@ -11,6 +11,10 @@
 //!   co-occurrence counts in arrays — `O(1)` amortized per comparison (the
 //!   ScanCount idea, §4.2).
 //!
+//! [`fold_edges`] / [`fold_neighborhoods`] run either implementation as the
+//! one sweep every pruning scheme folds over, chunked across the worker
+//! count of the [`GraphContext`].
+//!
 //! Prefix Filtering is *not* used: as §4.2 explains, the pruning thresholds
 //! are only known a-posteriori and in practice fall below 0.1, which forces
 //! Prefix Filtering to keep entire block lists as representations and
@@ -20,6 +24,8 @@ use crate::context::GraphContext;
 use crate::scanner::{NeighborhoodScanner, ScanScope};
 use crate::weights::EdgeWeigher;
 use er_model::EntityId;
+use std::cell::Cell;
+use std::ops::Range;
 
 /// Which edge-weighting implementation a pruning scheme runs on — the
 /// independent variable of the paper's Table 5.
@@ -72,51 +78,179 @@ impl std::str::FromStr for WeightingImpl {
     }
 }
 
-/// Dispatches an edge sweep to the selected implementation. Both visit each
-/// distinct edge exactly once with identical weights; only the per-edge cost
-/// differs.
-pub fn for_each_edge(
-    imp: WeightingImpl,
+/// Pivots in one sweep chunk at one worker, and the fewest a chunk holds
+/// at several — below this a worker's setup outweighs its sweep, so tiny
+/// inputs never fan out across the thread pool (a 2-entity collection on a
+/// 16-thread context is one chunk).
+pub(crate) const CHUNK: usize = 256;
+
+/// Pivots each worker sweeps per window when there are several: enough to
+/// amortize the window's thread spawns, few enough to bound what the
+/// window buffers.
+pub(crate) const SPAN: usize = 8 * CHUNK;
+
+/// The one chunked sweep under every graph traversal. `0..n` is swept in
+/// windows — [`CHUNK`] items at one worker, `threads × SPAN` at several,
+/// split into near-equal [`er_model::chunk_ranges`] chunks. Each chunk is
+/// swept by `body` into a fresh `init` accumulator — on scoped threads when
+/// the window holds several chunks, each with its worker's scanner (reused
+/// across windows) — and the window's accumulators go to `drain` in chunk
+/// order before the next window starts. The drained chunks therefore tile
+/// `0..n` in order at every thread count, and what a fold holds at once (a
+/// pruning scheme's retained comparisons) is bounded by one window, not by
+/// the graph.
+pub(crate) fn sweep<T: Send>(
     ctx: &GraphContext<'_>,
-    weigher: &EdgeWeigher<'_, '_>,
-    sink: impl FnMut(EntityId, EntityId, f64),
+    n: usize,
+    threads: usize,
+    mut init: impl FnMut(Range<usize>) -> T,
+    body: impl Fn(&mut NeighborhoodScanner, &mut T, Range<usize>) + Sync,
+    mut drain: impl FnMut(T),
 ) {
-    // Under the sanitize feature every emitted edge is checked (finite
-    // non-negative weight, comparable endpoints, genuine co-occurrence)
-    // before it reaches the caller's sink.
-    #[cfg(feature = "sanitize")]
-    let sink = {
-        let mut inner = sink;
-        move |a: EntityId, b: EntityId, w: f64| {
-            crate::sanitize::check_edge(ctx, a, b, w);
-            inner(a, b, w)
-        }
-    };
-    match imp {
-        WeightingImpl::Original => original::for_each_edge(ctx, weigher, sink),
-        WeightingImpl::Optimized => optimized::for_each_edge(ctx, weigher, sink),
+    let window = if threads > 1 { threads * SPAN } else { CHUNK };
+    let mut scanners: Vec<NeighborhoodScanner> = Vec::new();
+    for first in (0..n).step_by(window) {
+        let chunks = er_model::chunk_ranges(n.min(first + window) - first, threads, CHUNK);
+        scanners.resize_with(scanners.len().max(chunks.len()), || {
+            NeighborhoodScanner::new(ctx.num_entities())
+        });
+        let jobs: Vec<_> = scanners
+            .iter_mut()
+            .zip(chunks)
+            .map(|(scanner, r)| {
+                let range = first + r.start..first + r.end;
+                (scanner, init(range.clone()), range)
+            })
+            .collect();
+        let done = er_model::map_jobs(jobs, |(scanner, mut acc, range)| {
+            body(scanner, &mut acc, range);
+            acc
+        });
+        done.into_iter().for_each(&mut drain);
     }
 }
 
-/// Dispatches a node-centric sweep to the selected implementation.
-pub fn for_each_neighborhood(
+/// Folds every distinct weighted edge into per-chunk accumulators and
+/// hands each to `drain`, in sweep order. Both implementations visit each
+/// distinct edge exactly once with identical weights; only the per-edge
+/// cost differs.
+///
+/// Under Optimized weighting the left-side pivots `0..split` (every pivot
+/// for Dirty ER — each edge is charged to its smaller, left-side endpoint)
+/// are chunked across the context's workers ([`GraphContext::new_parallel`]),
+/// each chunk sweeping into its own `init()` ([`sweep`]); the drained
+/// chunks' visits are the sequential sweep's visit order. Original weighting is the
+/// paper's sequential block-order sweep, drained every [`CHUNK`] blocks.
+pub fn fold_edges<T, I, F, D>(
     imp: WeightingImpl,
     ctx: &GraphContext<'_>,
     weigher: &EdgeWeigher<'_, '_>,
-    sink: impl FnMut(EntityId, &[u32], &[f64]),
-) {
+    mut init: I,
+    fold: F,
+    drain: D,
+) where
+    T: Send,
+    I: FnMut() -> T,
+    F: Fn(&mut T, EntityId, EntityId, f64) + Sync,
+    D: FnMut(T),
+{
+    // Under the sanitize feature every swept edge is checked (finite
+    // non-negative weight, comparable endpoints, genuine co-occurrence)
+    // before it reaches the fold, at every thread count.
     #[cfg(feature = "sanitize")]
-    let sink = {
-        let mut inner = sink;
-        move |pivot: EntityId, ids: &[u32], weights: &[f64]| {
-            crate::sanitize::check_neighborhood(ctx, pivot, ids, weights);
-            inner(pivot, ids, weights)
+    let fold = |acc: &mut T, a: EntityId, b: EntityId, w: f64| {
+        crate::sanitize::check_edge(ctx, a, b, w);
+        fold(acc, a, b, w)
+    };
+    let init = |_| init();
+    match imp {
+        WeightingImpl::Original => {
+            // Algorithm 2 intersects block lists; its worker's scanner is
+            // allocated but never touched.
+            let body = |_: &mut NeighborhoodScanner, acc: &mut T, blocks: Range<usize>| {
+                original::edges_of(ctx, weigher, blocks, |a, b, w| fold(acc, a, b, w))
+            };
+            sweep(ctx, ctx.blocks().size(), 1, init, body, drain)
+        }
+        WeightingImpl::Optimized => {
+            let body = |scanner: &mut NeighborhoodScanner, acc: &mut T, pivots| {
+                optimized::edges_of(ctx, weigher, scanner, pivots, |a, b, w| fold(acc, a, b, w))
+            };
+            sweep(ctx, ctx.split(), ctx.threads(), init, body, drain)
+        }
+    }
+}
+
+/// The node-centric analogue of [`fold_edges`]: folds every non-empty
+/// neighborhood (`neighbors[k]` has weight `weights[k]`) into per-chunk
+/// accumulators and hands each to `drain`, in sweep order.
+///
+/// `init` receives the pivot range its chunk sweeps, so an accumulator can
+/// hold one slot per pivot; the chunks' ranges tile `0..|E|` in order.
+/// Optimized weighting chunks the pivots across the context's workers;
+/// Original weighting sweeps them on one.
+pub fn fold_neighborhoods<T, I, F, D>(
+    imp: WeightingImpl,
+    ctx: &GraphContext<'_>,
+    weigher: &EdgeWeigher<'_, '_>,
+    init: I,
+    fold: F,
+    drain: D,
+) where
+    T: Send,
+    I: FnMut(Range<usize>) -> T,
+    F: Fn(&mut T, EntityId, &[u32], &[f64]) + Sync,
+    D: FnMut(T),
+{
+    #[cfg(feature = "sanitize")]
+    let fold = |acc: &mut T, pivot: EntityId, ids: &[u32], weights: &[f64]| {
+        crate::sanitize::check_neighborhood(ctx, pivot, ids, weights);
+        fold(acc, pivot, ids, weights)
+    };
+    let threads = match imp {
+        WeightingImpl::Original => 1,
+        WeightingImpl::Optimized => ctx.threads(),
+    };
+    let body = |scanner: &mut NeighborhoodScanner, acc: &mut T, pivots| {
+        let sink = |p, ids: &[u32], ws: &[f64]| fold(acc, p, ids, ws);
+        match imp {
+            WeightingImpl::Original => {
+                original::neighborhoods_of(ctx, weigher, scanner, pivots, sink)
+            }
+            WeightingImpl::Optimized => {
+                optimized::neighborhoods_of(ctx, weigher, scanner, pivots, sink)
+            }
         }
     };
-    match imp {
-        WeightingImpl::Original => original::for_each_neighborhood(ctx, weigher, sink),
-        WeightingImpl::Optimized => optimized::for_each_neighborhood(ctx, weigher, sink),
-    }
+    sweep(ctx, ctx.num_entities(), threads, init, body, drain)
+}
+
+/// The mean weight WEP prunes by, `None` for an edgeless graph, and the
+/// number of edges swept to get it. The running sum rides in the first
+/// chunk of every window and the other chunks' sums add to it in chunk
+/// order, so a one-worker sweep sums every weight in sweep order.
+pub fn mean_edge_weight(
+    imp: WeightingImpl,
+    ctx: &GraphContext<'_>,
+    weigher: &EdgeWeigher<'_, '_>,
+) -> (Option<f64>, u64) {
+    let sum = Cell::new(0.0f64);
+    let mut count = 0u64;
+    fold_edges(
+        imp,
+        ctx,
+        weigher,
+        || (sum.take(), 0u64),
+        |(s, c), _, _, w| {
+            *s += w;
+            *c += 1;
+        },
+        |(s, c)| {
+            sum.set(sum.get() + s);
+            count += c;
+        },
+    );
+    ((count > 0).then(|| sum.get() / count as f64), count)
 }
 
 /// Optimized Edge Weighting (Algorithm 3).
@@ -128,19 +262,27 @@ pub mod optimized {
     pub fn for_each_edge(
         ctx: &GraphContext<'_>,
         weigher: &EdgeWeigher<'_, '_>,
-        mut sink: impl FnMut(EntityId, EntityId, f64),
+        sink: impl FnMut(EntityId, EntityId, f64),
     ) {
         let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
+        edges_of(ctx, weigher, &mut scanner, 0..ctx.split(), sink);
+    }
+
+    /// [`for_each_edge`] restricted to the edges charged to `pivots`, a
+    /// sub-range of the left-side ids `0..split`. For Clean-Clean ER every
+    /// edge is charged to its left-side endpoint (right-side ids are all
+    /// larger), so right-side pivots would scan empty and are never swept.
+    pub(crate) fn edges_of(
+        ctx: &GraphContext<'_>,
+        weigher: &EdgeWeigher<'_, '_>,
+        scanner: &mut NeighborhoodScanner,
+        pivots: Range<usize>,
+        mut sink: impl FnMut(EntityId, EntityId, f64),
+    ) {
         let accumulate = weigher.scheme().accumulate();
-        let n = ctx.num_entities() as u32;
-        for raw in 0..n {
+        // Entity ids are dense u32s, so the range bounds always fit.
+        for raw in pivots.start as u32..pivots.end as u32 {
             let pivot = EntityId(raw);
-            // For Clean-Clean ER every edge is charged to its left-side
-            // endpoint (right-side ids are all larger), so right-side scans
-            // would come back empty — skip them outright.
-            if !ctx.is_first(pivot) {
-                continue;
-            }
             let hood = scanner.scan(ctx, pivot, accumulate, ScanScope::GreaterOnly);
             for &j in hood.ids {
                 let other = EntityId(j);
@@ -158,14 +300,24 @@ pub mod optimized {
     pub fn for_each_neighborhood(
         ctx: &GraphContext<'_>,
         weigher: &EdgeWeigher<'_, '_>,
-        mut sink: impl FnMut(EntityId, &[u32], &[f64]),
+        sink: impl FnMut(EntityId, &[u32], &[f64]),
     ) {
         let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
+        neighborhoods_of(ctx, weigher, &mut scanner, 0..ctx.num_entities(), sink);
+    }
+
+    /// [`for_each_neighborhood`] restricted to the pivots in `pivots`.
+    pub(crate) fn neighborhoods_of(
+        ctx: &GraphContext<'_>,
+        weigher: &EdgeWeigher<'_, '_>,
+        scanner: &mut NeighborhoodScanner,
+        pivots: Range<usize>,
+        mut sink: impl FnMut(EntityId, &[u32], &[f64]),
+    ) {
         let accumulate = weigher.scheme().accumulate();
         let mut ids: Vec<u32> = Vec::new();
         let mut weights: Vec<f64> = Vec::new();
-        let n = ctx.num_entities() as u32;
-        for raw in 0..n {
+        for raw in pivots.start as u32..pivots.end as u32 {
             let pivot = EntityId(raw);
             let hood = scanner.scan(ctx, pivot, accumulate, ScanScope::All);
             if hood.ids.is_empty() {
@@ -193,12 +345,24 @@ pub mod original {
     pub fn for_each_edge(
         ctx: &GraphContext<'_>,
         weigher: &EdgeWeigher<'_, '_>,
+        sink: impl FnMut(EntityId, EntityId, f64),
+    ) {
+        edges_of(ctx, weigher, 0..ctx.blocks().size(), sink);
+    }
+
+    /// [`for_each_edge`] restricted to the comparisons of the blocks in
+    /// `blocks`.
+    pub(crate) fn edges_of(
+        ctx: &GraphContext<'_>,
+        weigher: &EdgeWeigher<'_, '_>,
+        blocks: Range<usize>,
         mut sink: impl FnMut(EntityId, EntityId, f64),
     ) {
         let arcs =
             weigher.scheme().accumulate() == crate::scanner::Accumulate::ReciprocalCardinalities;
         let dirty = ctx.kind() == ErKind::Dirty;
-        for (k, block) in ctx.blocks().iter().enumerate() {
+        for k in blocks {
+            let block = ctx.blocks().block(k);
             let k = k as u32;
             let mut handle = |a: EntityId, b: EntityId| {
                 if let Some(score) = lecobi_score(ctx, a, b, k, arcs) {
@@ -234,15 +398,25 @@ pub mod original {
     pub fn for_each_neighborhood(
         ctx: &GraphContext<'_>,
         weigher: &EdgeWeigher<'_, '_>,
+        sink: impl FnMut(EntityId, &[u32], &[f64]),
+    ) {
+        let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
+        neighborhoods_of(ctx, weigher, &mut scanner, 0..ctx.num_entities(), sink);
+    }
+
+    /// [`for_each_neighborhood`] restricted to the pivots in `pivots`.
+    pub(crate) fn neighborhoods_of(
+        ctx: &GraphContext<'_>,
+        weigher: &EdgeWeigher<'_, '_>,
+        scanner: &mut NeighborhoodScanner,
+        pivots: Range<usize>,
         mut sink: impl FnMut(EntityId, &[u32], &[f64]),
     ) {
         let arcs =
             weigher.scheme().accumulate() == crate::scanner::Accumulate::ReciprocalCardinalities;
-        let mut scanner = NeighborhoodScanner::new(ctx.num_entities());
         let mut ids: Vec<u32> = Vec::new();
         let mut weights: Vec<f64> = Vec::new();
-        let n = ctx.num_entities() as u32;
-        for raw in 0..n {
+        for raw in pivots.start as u32..pivots.end as u32 {
             let pivot = EntityId(raw);
             // Gather distinct neighbors (the scan is used purely as a
             // deduplicating set here; the scores are discarded).
@@ -433,5 +607,87 @@ mod tests {
         assert_eq!(fast, slow);
         assert_eq!(fast.len(), 4);
         assert_eq!(fast[&(0, 2)], 2.0);
+    }
+
+    /// Edges `(a, b, w)` and neighborhoods `(pivot range, hoods)` of one
+    /// drained chunk each, in drain order.
+    type EdgeChunks = Vec<Vec<(EntityId, EntityId, f64)>>;
+    type HoodChunks = Vec<(Range<usize>, Vec<(EntityId, Vec<u32>, Vec<f64>)>)>;
+
+    fn drained(ctx: &GraphContext<'_>, weigher: &EdgeWeigher<'_, '_>) -> (EdgeChunks, HoodChunks) {
+        let (mut edges, mut hoods) = (Vec::new(), Vec::new());
+        let imp = WeightingImpl::Optimized;
+        fold_edges(
+            imp,
+            ctx,
+            weigher,
+            Vec::new,
+            |acc, a, b, w| acc.push((a, b, w)),
+            |c| edges.push(c),
+        );
+        fold_neighborhoods(
+            imp,
+            ctx,
+            weigher,
+            |pivots| (pivots, Vec::new()),
+            |(_, acc), p, ids, ws| acc.push((p, ids.to_vec(), ws.to_vec())),
+            |c| hoods.push(c),
+        );
+        (edges, hoods)
+    }
+
+    /// The drained chunks of both folds concatenate to the streaming
+    /// sweeps' output, and the neighborhood chunks' pivot ranges tile
+    /// `0..|E|` in order, none wider than [`CHUNK`] at one worker (what a
+    /// one-worker fold buffers) and than [`SPAN`] at several.
+    #[test]
+    fn folds_match_the_streaming_sweeps_at_every_thread_count() {
+        let blocks = crate::fixtures::multi_chunk_dirty(CHUNK as u32 * 4 + 37);
+        let n = blocks.num_entities();
+        let ctx = GraphContext::new_dirty(&blocks);
+        for scheme in WeightingScheme::ALL {
+            let weigher = EdgeWeigher::new(scheme, &ctx);
+            let mut edges = Vec::new();
+            optimized::for_each_edge(&ctx, &weigher, |a, b, w| edges.push((a, b, w)));
+            let mut hoods = Vec::new();
+            optimized::for_each_neighborhood(&ctx, &weigher, |p, ids, ws| {
+                hoods.push((p, ids.to_vec(), ws.to_vec()))
+            });
+            for threads in [1, 2, 3, 4, 7] {
+                let ctx = GraphContext::new_parallel(&blocks, n, threads);
+                let weigher = EdgeWeigher::new(scheme, &ctx);
+                let (edge_chunks, hood_chunks) = drained(&ctx, &weigher);
+                let at = format!("{} x{threads}", scheme.name());
+                let widest = if threads > 1 { SPAN } else { CHUNK };
+                assert!(edge_chunks.len() > 1, "{at}");
+                assert_eq!(edge_chunks.concat(), edges, "{at}");
+                let mut end = 0;
+                for (r, _) in &hood_chunks {
+                    assert_eq!(r.start, end, "{at}");
+                    assert!(!r.is_empty() && r.len() <= widest, "{at}: {r:?}");
+                    end = r.end;
+                }
+                assert_eq!(end, n, "{at}");
+                let got: Vec<_> = hood_chunks.into_iter().flat_map(|(_, acc)| acc).collect();
+                assert_eq!(got, hoods, "{at}");
+            }
+        }
+    }
+
+    /// Clean-Clean edge sweeps chunk the left-side pivots only: at two
+    /// workers both chunks hold edges (chunking all of `0..|E|` would leave
+    /// the right-side chunk empty).
+    #[test]
+    fn clean_clean_edge_sweeps_chunk_the_left_side() {
+        let split = CHUNK as u32 * 2;
+        let blocks = BlockCollection::new(
+            ErKind::CleanClean,
+            split as usize * 2,
+            (0..split).map(|i| Block::clean_clean(ids(&[i]), ids(&[split + i]))).collect(),
+        );
+        let ctx = GraphContext::new_parallel(&blocks, split as usize, 2);
+        let weigher = EdgeWeigher::new(WeightingScheme::Cbs, &ctx);
+        let counts: Vec<usize> = drained(&ctx, &weigher).0.iter().map(Vec::len).collect();
+        assert_eq!(counts, vec![split as usize / 2; 2]);
     }
 }

@@ -9,7 +9,7 @@
 //! materializing them.
 
 use crate::block::BlockCollection;
-use crate::chunk::chunk_ranges;
+use crate::chunk::{chunk_ranges, map_chunks};
 use crate::ids::{BlockId, EntityId};
 
 /// Minimum blocks per construction shard: below this, spawning a worker
@@ -41,19 +41,23 @@ fn accumulate_offsets(counts: &[u32]) -> Vec<u32> {
     offsets
 }
 
-/// Builds the inverted-index shard of one contiguous block range: the same
-/// two-pass count/fill as [`EntityIndex::build`], over `blocks[range]` only,
-/// storing global block ids.
+/// Builds the inverted index of one contiguous block range, storing global
+/// block ids: [`EntityIndex::build`] over every block, or one shard of
+/// [`EntityIndex::build_parallel`].
 fn build_shard(blocks: &BlockCollection, range: std::ops::Range<usize>) -> EntityIndex {
     let n = blocks.num_entities();
+    // First pass: count assignments per entity.
     let mut counts = vec![0u32; n];
     for k in range.clone() {
         for e in blocks.block(k).entities() {
             counts[e.idx()] += 1;
         }
     }
+    // Prefix sums -> offsets (checked: >4B assignments fail loudly).
     let offsets = accumulate_offsets(&counts);
     let total = *offsets.last().unwrap_or(&0) as usize;
+    // Second pass: fill. Blocks are visited in ascending id order, so
+    // each entity's slice ends up sorted without an explicit sort.
     let mut cursor: Vec<u32> = offsets[..n].to_vec();
     let mut lists = vec![0u32; total];
     for k in range {
@@ -63,6 +67,46 @@ fn build_shard(blocks: &BlockCollection, range: std::ops::Range<usize>) -> Entit
             *c += 1;
         }
     }
+    EntityIndex { lists, offsets }
+}
+
+/// Merges block-range shards (in ascending range order) into one index over
+/// `n` entities: per entity, the shards' sub-lists concatenated in shard
+/// order. Each of up to `threads` workers fills the contiguous slice of the
+/// flat `lists` buffer that its entity range owns.
+fn merge_shards(shards: &[EntityIndex], n: usize, threads: usize) -> EntityIndex {
+    let mut counts = vec![0u32; n];
+    for (e, c) in counts.iter_mut().enumerate() {
+        for s in shards {
+            *c += s.offsets[e + 1] - s.offsets[e];
+        }
+    }
+    let offsets = accumulate_offsets(&counts);
+    let total = *offsets.last().unwrap_or(&0) as usize;
+    let mut lists = vec![0u32; total];
+    let entity_ranges = chunk_ranges(n, threads, MIN_ENTITIES_PER_MERGE);
+    std::thread::scope(|scope| {
+        let mut rest: &mut [u32] = &mut lists;
+        let mut handles = Vec::new();
+        for range in entity_ranges {
+            let len = (offsets[range.end] - offsets[range.start]) as usize;
+            let (mine, tail) = rest.split_at_mut(len);
+            rest = tail;
+            handles.push(scope.spawn(move || {
+                let mut out = 0usize;
+                for e in range {
+                    for s in shards {
+                        let sub = &s.lists[s.offsets[e] as usize..s.offsets[e + 1] as usize];
+                        mine[out..out + sub.len()].copy_from_slice(sub);
+                        out += sub.len();
+                    }
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        }
+    });
     EntityIndex { lists, offsets }
 }
 
@@ -84,29 +128,7 @@ impl EntityIndex {
     /// Builds the index for a block collection. Block ids are positions in
     /// the collection's processing order.
     pub fn build(blocks: &BlockCollection) -> Self {
-        let n = blocks.num_entities();
-        // First pass: count assignments per entity.
-        let mut counts = vec![0u32; n];
-        for b in blocks.iter() {
-            for e in b.entities() {
-                counts[e.idx()] += 1;
-            }
-        }
-        // Prefix sums -> offsets (checked: >4B assignments fail loudly).
-        let offsets = accumulate_offsets(&counts);
-        let total = *offsets.last().unwrap_or(&0) as usize;
-        // Second pass: fill. Blocks are visited in ascending id order, so
-        // each entity's slice ends up sorted without an explicit sort.
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut lists = vec![0u32; total];
-        for (k, b) in blocks.iter().enumerate() {
-            for e in b.entities() {
-                let c = &mut cursor[e.idx()];
-                lists[*c as usize] = k as u32;
-                *c += 1;
-            }
-        }
-        let index = EntityIndex { lists, offsets };
+        let index = build_shard(blocks, 0..blocks.size());
         #[cfg(feature = "sanitize")]
         crate::sanitize::assert_valid(&index.validate(blocks), "EntityIndex::build");
         index
@@ -122,59 +144,16 @@ impl EntityIndex {
     /// chunk order is ascending block-id order, so the merged list equals
     /// the sequential build's. The merge itself is also parallel: each
     /// worker owns a contiguous entity range, whose assignments form a
-    /// contiguous slice of the flat `lists` buffer.
+    /// contiguous slice of the flat `lists` buffer. A collection too small
+    /// to split builds as one shard on the calling thread.
     pub fn build_parallel(blocks: &BlockCollection, threads: usize) -> Self {
-        let num_blocks = blocks.size();
-        let ranges = chunk_ranges(num_blocks, threads, MIN_BLOCKS_PER_SHARD);
-        if ranges.len() <= 1 {
-            return Self::build(blocks);
-        }
-        let shards: Vec<EntityIndex> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| scope.spawn(move || build_shard(blocks, range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
+        let mut shards = map_chunks(blocks.size(), threads, MIN_BLOCKS_PER_SHARD, |range| {
+            build_shard(blocks, range)
         });
-        let n = blocks.num_entities();
-        let mut counts = vec![0u32; n];
-        for (e, c) in counts.iter_mut().enumerate() {
-            for s in &shards {
-                *c += s.offsets[e + 1] - s.offsets[e];
-            }
-        }
-        let offsets = accumulate_offsets(&counts);
-        let total = *offsets.last().unwrap_or(&0) as usize;
-        let mut lists = vec![0u32; total];
-        let entity_ranges = chunk_ranges(n, threads, MIN_ENTITIES_PER_MERGE);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [u32] = &mut lists;
-            let mut handles = Vec::new();
-            for range in entity_ranges {
-                let len = (offsets[range.end] - offsets[range.start]) as usize;
-                let (mine, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let shards = &shards;
-                handles.push(scope.spawn(move || {
-                    let mut out = 0usize;
-                    for e in range {
-                        for s in shards {
-                            let sub = &s.lists[s.offsets[e] as usize..s.offsets[e + 1] as usize];
-                            mine[out..out + sub.len()].copy_from_slice(sub);
-                            out += sub.len();
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            }
-        });
-        let index = EntityIndex { lists, offsets };
+        let index = match shards.len() {
+            0 | 1 => shards.pop().unwrap_or_else(|| build_shard(blocks, 0..0)),
+            _ => merge_shards(&shards, blocks.num_entities(), threads),
+        };
         #[cfg(feature = "sanitize")]
         crate::sanitize::assert_valid(&index.validate(blocks), "EntityIndex::build_parallel");
         index

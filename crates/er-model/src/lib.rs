@@ -51,7 +51,7 @@ pub mod tokenize;
 pub mod view;
 
 pub use block::{Block, BlockCollection, BlockCollectionBuilder, BlockRef};
-pub use chunk::chunk_ranges;
+pub use chunk::{chunk_ranges, map_chunks, map_jobs};
 pub use collection::{EntityCollection, ErKind};
 pub use comparisons::{Comparison, ComparisonSet};
 pub use error::{Error, Result};

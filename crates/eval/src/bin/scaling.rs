@@ -39,7 +39,7 @@ fn main() -> er_model::Result<()> {
         let (_, slow) = timer::time(|| original::for_each_edge(&ctx, &weigher, |_, _, _| {}));
         let mut n = 0u64;
         let (res, free) = timer::time(|| {
-            mb_core::pipeline::run_graph_free_threads(
+            mb_core::graphfree::graph_free_meta_blocking(
                 &blocks,
                 d.collection.split(),
                 0.55,

@@ -34,6 +34,7 @@ fn main() -> er_model::Result<()> {
                     b,
                     d.collection.split(),
                     r,
+                    1,
                     &mut report,
                     |a, c| acc.add(a, c),
                 )

@@ -5,10 +5,13 @@
 //!
 //! This is the workspace-level acceptance test for the chunked-sweep
 //! parallel execution model (see DESIGN.md §8): the thread count is a pure
-//! performance knob, never a semantics knob.
+//! performance knob, never a semantics knob. It covers both weighting
+//! implementations (Original sweeps sequentially at any thread count) and
+//! the empty graph; under the `sanitize` feature every swept edge and
+//! neighborhood is checked at every thread count.
 
 use er_model::{Block, BlockCollection, EntityId, ErKind};
-use mb_core::{MetaBlocking, PruningScheme, WeightingScheme};
+use mb_core::{MetaBlocking, PruningScheme, WeightingImpl, WeightingScheme};
 use mb_observe::{Counter, RunReport};
 
 const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -18,8 +21,8 @@ fn ids(v: &[u32]) -> Vec<EntityId> {
 }
 
 /// A Dirty collection large enough to split into several chunks (the
-/// parallel module floors chunks at 256 nodes), with long-range blocks so
-/// chunks see non-local neighbors.
+/// sweeps floor chunks at 256 pivots), with long-range blocks so chunks see
+/// non-local neighbors.
 fn large_dirty() -> BlockCollection {
     let n: u32 = 256 * 4 + 37;
     let mut blocks = Vec::new();
@@ -50,21 +53,23 @@ fn run_observed(
     split: usize,
     scheme: WeightingScheme,
     pruning: PruningScheme,
+    imp: WeightingImpl,
     threads: usize,
 ) -> (RunReport, Vec<(EntityId, EntityId)>) {
     let mut report = RunReport::new("matrix");
     let mut out = Vec::new();
     MetaBlocking::new(scheme, pruning)
+        .with_weighting_impl(imp)
         .with_threads(threads)
         .run(blocks, split, &mut report, |a, b| out.push((a, b)))
         .unwrap();
     (report, out)
 }
 
-fn assert_matrix(blocks: &BlockCollection, split: usize, kind: &str) {
+fn assert_matrix(blocks: &BlockCollection, split: usize, kind: &str, imp: WeightingImpl) {
     for pruning in PruningScheme::ALL {
         for scheme in WeightingScheme::ALL {
-            let (seq_report, seq_out) = run_observed(blocks, split, scheme, pruning, 1);
+            let (seq_report, seq_out) = run_observed(blocks, split, scheme, pruning, imp, 1);
             assert!(
                 !seq_out.is_empty(),
                 "{kind}: {} + {} kept nothing",
@@ -72,7 +77,7 @@ fn assert_matrix(blocks: &BlockCollection, split: usize, kind: &str) {
                 pruning.name()
             );
             for threads in THREAD_COUNTS {
-                let (report, out) = run_observed(blocks, split, scheme, pruning, threads);
+                let (report, out) = run_observed(blocks, split, scheme, pruning, imp, threads);
                 assert_eq!(
                     out,
                     seq_out,
@@ -99,13 +104,55 @@ fn assert_matrix(blocks: &BlockCollection, split: usize, kind: &str) {
 fn dirty_matrix_is_thread_count_invariant() {
     let blocks = large_dirty();
     let n = blocks.num_entities();
-    assert_matrix(&blocks, n, "dirty");
+    assert_matrix(&blocks, n, "dirty", WeightingImpl::Optimized);
 }
 
 #[test]
 fn clean_clean_matrix_is_thread_count_invariant() {
     let (blocks, split) = large_clean_clean();
-    assert_matrix(&blocks, split, "clean-clean");
+    assert_matrix(&blocks, split, "clean-clean", WeightingImpl::Optimized);
+}
+
+/// Original Edge Weighting (Algorithm 2) sweeps sequentially whatever the
+/// thread count; the rest of the run (index build) still fans out, and the
+/// result must not move.
+#[test]
+fn original_weighting_matrix_is_thread_count_invariant() {
+    let blocks = large_dirty();
+    let n = blocks.num_entities();
+    assert_matrix(&blocks, n, "dirty/original", WeightingImpl::Original);
+    let (blocks, split) = large_clean_clean();
+    assert_matrix(&blocks, split, "clean-clean/original", WeightingImpl::Original);
+}
+
+/// A graph without edges keeps nothing at any thread count, under either
+/// weighting implementation, with identical counters — including when its
+/// entities span several chunks.
+#[test]
+fn empty_graph_is_thread_count_invariant() {
+    let n = 256 * 4 + 37;
+    let blocks = BlockCollection::new(ErKind::Dirty, n, vec![]);
+    for imp in [WeightingImpl::Optimized, WeightingImpl::Original] {
+        for pruning in PruningScheme::ALL {
+            let (seq_report, seq_out) =
+                run_observed(&blocks, n, WeightingScheme::Cbs, pruning, imp, 1);
+            assert!(seq_out.is_empty(), "{} kept comparisons of an empty graph", pruning.name());
+            for threads in THREAD_COUNTS {
+                let (report, out) =
+                    run_observed(&blocks, n, WeightingScheme::Cbs, pruning, imp, threads);
+                assert!(out.is_empty(), "{} x{threads}", pruning.name());
+                for c in Counter::ALL {
+                    assert_eq!(
+                        report.counter_total(c),
+                        seq_report.counter_total(c),
+                        "{}: counter {} differs at {threads} threads",
+                        pruning.name(),
+                        c.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// `threads: 0` (auto-detect) runs and still matches the sequential output.
@@ -114,8 +161,9 @@ fn auto_detected_threads_match_sequential() {
     let blocks = large_dirty();
     let n = blocks.num_entities();
     for pruning in PruningScheme::ALL {
-        let (_, seq_out) = run_observed(&blocks, n, WeightingScheme::Js, pruning, 1);
-        let (_, auto_out) = run_observed(&blocks, n, WeightingScheme::Js, pruning, 0);
+        let imp = WeightingImpl::Optimized;
+        let (_, seq_out) = run_observed(&blocks, n, WeightingScheme::Js, pruning, imp, 1);
+        let (_, auto_out) = run_observed(&blocks, n, WeightingScheme::Js, pruning, imp, 0);
         assert_eq!(auto_out, seq_out, "{} differs under auto threads", pruning.name());
     }
 }
@@ -130,7 +178,7 @@ fn graph_free_is_thread_count_invariant() {
     let run = |threads: usize| {
         let mut report = RunReport::new("graph-free");
         let mut out = Vec::new();
-        mb_core::pipeline::run_graph_free_threads(
+        mb_core::graphfree::graph_free_meta_blocking(
             &blocks,
             n,
             0.55,
